@@ -11,6 +11,7 @@ from .convergence import (
     metrics,
     saturation_P,
     sweep,
+    sweep_levels,
 )
 from .dvr import (
     DvrBasis,

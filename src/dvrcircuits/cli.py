@@ -28,8 +28,9 @@ from .convergence import (
     DEFAULT_THRESHOLD_GHZ,
     Scale,
     default_sizes,
+    energy_scale,
     metrics,
-    sweep,
+    sweep_levels,
 )
 from .dvr import DvrKind, Spacing
 from .errors import ConfigError, NumericalError
@@ -302,34 +303,25 @@ def _plot_script(out: Path, csv_files: list[str], ylabel: str) -> None:
 # commands
 
 
-def _curves(config: RunConfig, threads: int):
-    """All (rep, level) convergence curves, computed on a worker pool."""
-    jobs = [(rep, level) for rep in config.representations for level in config.levels]
+def _curves(config: RunConfig, threads: int, levels: tuple[int, ...]):
+    """(rep, curve) for every rep and level, rep-major; one sweep per rep on a worker pool."""
+    reps = config.representations
 
-    def run(job):
-        rep, level = job
-        return sweep(config.circuit, rep, config.sizes, level, config.scale)
+    def run(rep):
+        return sweep_levels(config.circuit, rep, config.sizes, levels, config.scale)
 
     if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            curves = list(pool.map(run, jobs))
+            per_rep = list(pool.map(run, reps))
     else:
-        curves = [run(job) for job in jobs]
-    return list(zip(jobs, curves))
-
-
-def _effective_threshold(config: RunConfig) -> float:
-    if config.scale is Scale.LC_SCALED:
-        from .convergence import energy_scale
-
-        return config.threshold_GHz / energy_scale(config.circuit)
-    return config.threshold_GHz
+        per_rep = [run(rep) for rep in reps]
+    return [(rep, curve) for rep, curves in zip(reps, per_rep) for curve in curves]
 
 
 def cmd_curve(config: RunConfig, out: Path, threads: int, plot: bool) -> list[str]:
     files = []
-    for (rep, level), curve in _curves(config, threads):
-        name = f"curve_{config.circuit.family.value}_{_slug(rep)}_n{level}.csv"
+    for rep, curve in _curves(config, threads, config.levels):
+        name = f"curve_{config.circuit.family.value}_{_slug(rep)}_n{curve.level}.csv"
         rows = [
             (size, float(delta), abs(float(delta)), int(np.sign(delta)) or 1)
             for size, delta in zip(curve.sizes, curve.deltas)
@@ -341,46 +333,38 @@ def cmd_curve(config: RunConfig, out: Path, threads: int, plot: bool) -> list[st
     return files
 
 
-def _metrics_rows(config: RunConfig, threads: int, levels: tuple[int, ...]):
-    sub = RunConfig(
-        circuit=config.circuit,
-        representations=config.representations,
-        sizes=config.sizes,
-        levels=levels,
-        threshold_GHz=config.threshold_GHz,
-        scale=config.scale,
-    )
-    threshold = _effective_threshold(config)
-    rows = []
-    for (rep, level), curve in _curves(sub, threads):
-        record = metrics(curve, threshold)
-        kind, num, den, pi = _rep_columns(rep)
-        rows.append(
-            (
-                config.circuit.family.value, kind, num, den, pi, level,
-                record.R, record.P, record.P_sign, record.saturated,
-                record.crossed_zero,
-            )
-        )
-    return rows
-
-
 _METRICS_HEADER = [
     "circuit", "rep_kind", "spacing_num", "spacing_den", "spacing_pi",
     "level", "R", "P", "P_sign", "saturated", "crossed_zero",
 ]
 
 
+def _write_metrics(config: RunConfig, out: Path, threads: int, levels: tuple[int, ...],
+                   name: str) -> list[str]:
+    threshold = config.threshold_GHz
+    if config.scale is Scale.LC_SCALED:
+        threshold /= energy_scale(config.circuit)
+    rows = []
+    for rep, curve in _curves(config, threads, levels):
+        record = metrics(curve, threshold)
+        kind, num, den, pi = _rep_columns(rep)
+        rows.append(
+            (
+                config.circuit.family.value, kind, num, den, pi, curve.level,
+                record.R, record.P, record.P_sign, record.saturated,
+                record.crossed_zero,
+            )
+        )
+    _write_csv(out / name, _METRICS_HEADER, rows)
+    return [name]
+
+
 def cmd_metrics(config: RunConfig, out: Path, threads: int, plot: bool) -> list[str]:
-    rows = _metrics_rows(config, threads, (config.levels[0],))
-    _write_csv(out / "metrics.csv", _METRICS_HEADER, rows)
-    return ["metrics.csv"]
+    return _write_metrics(config, out, threads, (config.levels[0],), "metrics.csv")
 
 
 def cmd_levels(config: RunConfig, out: Path, threads: int, plot: bool) -> list[str]:
-    rows = _metrics_rows(config, threads, config.levels)
-    _write_csv(out / "levels.csv", _METRICS_HEADER, rows)
-    return ["levels.csv"]
+    return _write_metrics(config, out, threads, config.levels, "levels.csv")
 
 
 def cmd_decompose(config: RunConfig, out: Path, threads: int, plot: bool) -> list[str]:

@@ -71,6 +71,35 @@ def energy_scale(spec: CircuitSpec) -> float:
     return math.sqrt(8.0 * spec.E_C * spec.E_L)
 
 
+def sweep_levels(
+    spec: CircuitSpec,
+    rep: Representation,
+    sizes: tuple[int, ...],
+    levels: tuple[int, ...],
+    scale: Scale = Scale.ABSOLUTE,
+) -> list[ConvergenceCurve]:
+    """Delta_n versus matrix size for every level from one eigensolve per size;
+    the curve of level n samples only the sizes d > n, the ones that contain it."""
+    sizes, levels = tuple(sizes), tuple(levels)
+    if not sizes or not levels:
+        raise ConfigError("empty size or level list")
+    if any(s < 3 or s % 2 == 0 for s in sizes):
+        raise ConfigError("sizes must be odd and >= 3")
+    top = max(levels)
+    if top >= max(sizes):
+        raise ConfigError(f"level {top} not contained in the largest size {max(sizes)}")
+    check_compatible(spec, rep)
+    refs = [reference_energy(spec, n) for n in levels]
+    spectra = [eigenvalues(spec, rep, d, min(top, d - 1)) for d in sizes]
+    unit = energy_scale(spec) if scale is Scale.LC_SCALED else 1.0
+    curves = []
+    for n, ref in zip(levels, refs):
+        kept = [i for i, d in enumerate(sizes) if d > n]
+        deltas = np.array([spectra[i][n] - ref for i in kept]) / unit
+        curves.append(ConvergenceCurve(n, tuple(sizes[i] for i in kept), deltas, scale))
+    return curves
+
+
 def sweep(
     spec: CircuitSpec,
     rep: Representation,
@@ -80,20 +109,9 @@ def sweep(
 ) -> ConvergenceCurve:
     """Delta_n versus matrix size for one representation and grid."""
     sizes = tuple(sizes)
-    if not sizes:
-        raise ConfigError("empty size list")
-    if any(s < 3 or s % 2 == 0 for s in sizes):
-        raise ConfigError("sizes must be odd and >= 3")
-    if level >= min(sizes):
+    if sizes and level >= min(sizes):
         raise ConfigError(f"level {level} not contained in the smallest size {min(sizes)}")
-    check_compatible(spec, rep)
-    ref = reference_energy(spec, level)
-    deltas = np.array(
-        [eigenvalues(spec, rep, d, level)[level] - ref for d in sizes]
-    )
-    if scale is Scale.LC_SCALED:
-        deltas = deltas / energy_scale(spec)
-    return ConvergenceCurve(level, sizes, deltas, scale)
+    return sweep_levels(spec, rep, sizes, (level,), scale)[0]
 
 
 def decoherence_R(curve: ConvergenceCurve, threshold: float = DEFAULT_THRESHOLD_GHZ) -> int | None:

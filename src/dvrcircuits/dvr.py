@@ -24,8 +24,6 @@ import numpy as np
 
 from .errors import ConfigError
 
-HERMITICITY_RTOL = 1e-13
-
 
 @dataclass(frozen=True)
 class Spacing:
@@ -134,7 +132,7 @@ class DvrBasis:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense Hermitian matrix tagged with the basis it is expressed in."""
+    """Dense square matrix tagged with its basis; Hermiticity is checked at the eigensolver."""
 
     entries: np.ndarray
     basis_tag: str = ""
@@ -143,12 +141,6 @@ class OperatorMatrix:
         h = np.asarray(self.entries)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ConfigError(f"operator must be square, got shape {h.shape}")
-        scale = max(float(np.abs(h).max(initial=0.0)), 1.0)
-        defect = float(np.abs(h - h.conj().T).max(initial=0.0))
-        if defect > HERMITICITY_RTOL * scale:
-            raise ConfigError(
-                f"matrix is not Hermitian (defect {defect:.3e}, tag {self.basis_tag!r})"
-            )
         object.__setattr__(self, "entries", h)
 
     @property

@@ -33,7 +33,7 @@ from .errors import ConfigError, IncompatibleRepresentationError, NumericalError
 from .fdm import Boundary, FdGrid, fd_hamiltonian
 from .ho import DEFAULT_EMBED_DIM, HoBasis, LengthScale, cos_in_ho, length_scale, quadratic_operators
 
-EIGEN_RESIDUAL_RTOL = 1e-10
+HERMITICITY_RTOL = 1e-13
 
 _reference_lock = threading.Lock()
 
@@ -199,6 +199,7 @@ def _ho_embedded_hamiltonian(spec: CircuitSpec, scale: LengthScale, embed_dim: i
     h = 4.0 * spec.E_C * n2.entries + 0.5 * spec.E_L * theta2.entries
     if spec.family is Family.FLUXONIUM:
         h = h - spec.E_J * cos_in_ho(basis, spec.A).entries
+    h.flags.writeable = False
     return h
 
 
@@ -231,47 +232,45 @@ def assemble(spec: CircuitSpec, rep: Representation, dim: int) -> OperatorMatrix
     return _assemble_fd(spec, rep, dim)
 
 
-def _as_solver_matrix(h: np.ndarray) -> np.ndarray:
-    """Drop a numerically-zero imaginary part so LAPACK takes the real path."""
-    if np.iscomplexobj(h):
-        scale = max(float(np.abs(h).max(initial=0.0)), 1.0)
-        if float(np.abs(h.imag).max(initial=0.0)) <= 1e-14 * scale:
-            return np.ascontiguousarray(h.real)
+def _solver_matrix(h: np.ndarray) -> np.ndarray:
+    """The one gate before LAPACK: reject a non-Hermitian matrix, then drop a
+    numerically-zero imaginary part so LAPACK takes the real path."""
+    tol = HERMITICITY_RTOL * max(float(np.abs(h).max(initial=0.0)), 1.0)
+    defect = float(np.abs(h - h.conj().T).max(initial=0.0))
+    if defect > tol:
+        raise NumericalError(f"matrix is not Hermitian (defect {defect:.3e})")
+    if np.iscomplexobj(h) and float(np.abs(h.imag).max(initial=0.0)) <= tol:
+        return np.ascontiguousarray(h.real)
     return h
 
 
 def eigensolve(h: OperatorMatrix, k: int) -> Spectrum:
     """Lowest k eigenpairs of a Hermitian matrix, ascending and unit-norm."""
-    mat = h.entries
     dim = h.dim
     if not 1 <= k <= dim:
         raise ConfigError(f"k must be in [1, {dim}], got {k}")
-    norm = max(float(np.abs(mat).max(initial=0.0)), 1.0)
-    defect = float(np.abs(mat - mat.conj().T).max(initial=0.0))
-    if defect > EIGEN_RESIDUAL_RTOL * norm:
-        raise NumericalError(f"input is not Hermitian (defect {defect:.3e})")
-    energies, vectors = scipy.linalg.eigh(
-        _as_solver_matrix(mat), subset_by_index=(0, k - 1)
-    )
+    energies, vectors = scipy.linalg.eigh(_solver_matrix(h.entries), subset_by_index=(0, k - 1))
     vectors = vectors / np.linalg.norm(vectors, axis=0)
     return Spectrum(energies, vectors, dim)
 
 
 def eigenvalues(spec: CircuitSpec, rep: Representation, dim: int, upto: int) -> np.ndarray:
     """Lowest upto+1 eigenvalues; values-only fast path for sweeps."""
-    h = _as_solver_matrix(assemble(spec, rep, dim).entries)
+    h = _solver_matrix(assemble(spec, rep, dim).entries)
     return scipy.linalg.eigvalsh(h, subset_by_index=(0, min(upto, dim - 1)))
 
 
 @lru_cache(maxsize=32)
 def _fluxonium_reference(spec: CircuitSpec, embed_dim: int) -> np.ndarray:
     h = _ho_embedded_hamiltonian(spec, LengthScale.LC, embed_dim)
-    return scipy.linalg.eigvalsh(h)
+    energies = scipy.linalg.eigvalsh(_solver_matrix(h))
+    energies.flags.writeable = False
+    return energies
 
 
 @lru_cache(maxsize=32)
 def _transmon_reference(spec: CircuitSpec, dim: int) -> np.ndarray:
-    h = _as_solver_matrix(_assemble_dvr(spec, charge_basis(), dim).entries)
+    h = _solver_matrix(_assemble_dvr(spec, charge_basis(), dim).entries)
     k = min(64, dim)
     energies, vectors = scipy.linalg.eigh(h, subset_by_index=(0, k - 1))
     # In the charge limit ||H|| grows like E_C * dim^2, so plain double-precision
@@ -284,7 +283,9 @@ def _transmon_reference(spec: CircuitSpec, dim: int) -> np.ndarray:
     hv = hw @ vw
     num = np.einsum("ij,ij->j", vw.conj(), hv)
     den = np.einsum("ij,ij->j", vw.conj(), vw)
-    return (num / den).real.astype(float)
+    energies = (num / den).real.astype(float)
+    energies.flags.writeable = False
+    return energies
 
 
 def reference_energy(spec: CircuitSpec, level: int, oracle_dim: int | None = None) -> float:

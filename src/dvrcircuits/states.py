@@ -77,13 +77,7 @@ def shift_operator(basis: DvrBasis, shift: ShiftSpec) -> OperatorMatrix:
     if not basis.kind.is_phase:
         raise ConfigError("phase shifts require a phase-kind DVR")
     step = _index_step(basis.dim, shift.direction, basis.kind.is_truncated)
-    op = np.linalg.matrix_power(step, shift.beta)
-    # Permutations and nilpotent shifts are not Hermitian; bypass the
-    # OperatorMatrix Hermiticity guard deliberately.
-    out = OperatorMatrix.__new__(OperatorMatrix)
-    object.__setattr__(out, "entries", op)
-    object.__setattr__(out, "basis_tag", basis.basis_tag)
-    return out
+    return OperatorMatrix(np.linalg.matrix_power(step, shift.beta), basis.basis_tag)
 
 
 def apply_shift(state: StateVector, basis: DvrBasis, shift: ShiftSpec) -> tuple[StateVector, float]:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from dvrcircuits.cli import (
+    COMMANDS,
+    PRESETS,
     RunConfig,
     config_from_dict,
     load_config,
@@ -216,3 +218,13 @@ def test_exactly_one_source_of_config(tmp_path):
     cfg = _write_config(tmp_path, LC_CONFIG)
     assert main(["metrics"]) == 2
     assert main(["metrics", "--config", cfg, "--preset", "lc"]) == 2
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_preset_runs_every_command(tmp_path, preset, command):
+    doc = dict(preset_config(preset).to_dict(), sizes={"largest": 21})
+    cfg = _write_config(tmp_path, doc)
+    # shift sweeps fluxonium flux; every other pairing must succeed
+    expected = 2 if command == "shift" and preset != "fluxonium" else 0
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == expected

@@ -13,14 +13,17 @@ from dvrcircuits.convergence import (
     metrics,
     saturation_P,
     sweep,
+    sweep_levels,
 )
 from dvrcircuits.dvr import DvrKind, Spacing
 from dvrcircuits.errors import ConfigError
+from dvrcircuits.fdm import Boundary
 from dvrcircuits.ho import LengthScale
-from dvrcircuits.spectra import DvrRep, HoRep
+from dvrcircuits.spectra import DvrRep, FdRep, HoRep, assemble, charge_basis
 
 LC = CircuitSpec.lc(1.0, 1.0)
 FLUXONIUM = CircuitSpec.fluxonium(2.5, 0.5, 10.0, 0.5)
+TRANSMON = CircuitSpec.transmon(0.2, 10.0, 0.5)
 
 
 def _curve(deltas, level=0):
@@ -160,3 +163,32 @@ def test_truncated_traditional_P_agreement():
     pa = metrics(sweep(LC, rep_a, default_sizes(101), 0)).P
     pb = metrics(sweep(LC, rep_b, default_sizes(101), 0)).P
     assert abs(pa - pb) / pa < 0.1
+
+
+@pytest.mark.parametrize(
+    "spec, rep, sizes",
+    [
+        (LC, FdRep(math.pi / 48, 1, Boundary.BOUNDED), default_sizes(201, stride=4)),
+        (TRANSMON, charge_basis(), default_sizes(41)),
+    ],
+)
+def test_sweep_levels_matches_single_level_sweeps(spec, rep, sizes):
+    # Solving levels 0..2 together moves each eigenvalue by backward-error
+    # roundoff only, never enough to change R.
+    levels = (0, 1, 2)
+    norms = np.array([np.abs(assemble(spec, rep, d).entries).max() for d in sizes])
+    for curve in sweep_levels(spec, rep, sizes, levels):
+        alone = sweep(spec, rep, sizes, curve.level)
+        assert curve.sizes == alone.sizes
+        assert np.all(np.abs(curve.deltas - alone.deltas) <= 64 * np.finfo(float).eps * norms)
+        for threshold in (1e-6, 1e-4, 1e-3, 1e-2):
+            assert decoherence_R(curve, threshold) == decoherence_R(alone, threshold)
+
+
+def test_sweep_levels_starts_each_curve_above_its_level():
+    rep = DvrRep(DvrKind.TRADITIONAL_CHARGE, Spacing(1, 4))
+    curves = sweep_levels(LC, rep, default_sizes(11), (0, 3, 4))
+    assert [c.level for c in curves] == [0, 3, 4]
+    assert [c.sizes[0] for c in curves] == [3, 5, 5]
+    with pytest.raises(ConfigError):
+        sweep_levels(LC, rep, default_sizes(11), (0, 11))

@@ -92,6 +92,14 @@ def test_cos_hermitian_and_bounded():
     assert np.abs(np.linalg.eigvalsh(op)).max() <= 1.0 + 1e-10
 
 
+def test_cached_cos_cannot_be_corrupted_by_callers():
+    basis = HoBasis(2.5, 12, 1001)
+    before = float(cos_in_ho(basis, 0.0).entries[0, 0])
+    with pytest.raises(ValueError):
+        cos_in_ho(basis, 0.0).entries[0, 0] = 99.0
+    assert cos_in_ho(basis, 0.0).entries[0, 0] == before
+
+
 def test_cos_truncation_insensitive():
     dim = 40
     small = cos_in_ho(HoBasis(2.5, dim, dim + 200), 0.0).entries

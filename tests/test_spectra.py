@@ -13,6 +13,10 @@ from dvrcircuits.spectra import (
     DvrRep,
     FdRep,
     HoRep,
+    _fluxonium_reference,
+    _ho_embedded_hamiltonian,
+    _solver_matrix,
+    _transmon_reference,
     assemble,
     charge_basis,
     check_compatible,
@@ -141,11 +145,18 @@ def test_eigensolve_one_by_one():
 
 
 def test_eigensolve_rejects_nonhermitian():
-    bad = OperatorMatrix.__new__(OperatorMatrix)
-    object.__setattr__(bad, "entries", np.array([[0.0, 1.0], [0.0, 0.0]]))
-    object.__setattr__(bad, "basis_tag", "")
+    bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(NumericalError):
-        eigensolve(bad, 1)
+        _solver_matrix(bad)
+    with pytest.raises(NumericalError):
+        eigensolve(OperatorMatrix(bad), 1)
+
+
+def test_solver_gate_drops_numerically_zero_imaginary_part():
+    h = np.array([[1.0, 1e-18j], [-1e-18j, 2.0]])
+    assert not np.iscomplexobj(_solver_matrix(h))
+    genuine = np.array([[1.0, 0.5j], [-0.5j, 2.0]])
+    assert _solver_matrix(genuine) is genuine
 
 
 def test_eigensolve_residuals_backward_stable():
@@ -182,6 +193,18 @@ def test_fluxonium_reference_convergence_guard():
         big = reference_energy(FLUXONIUM, level)
         small = reference_energy(FLUXONIUM, level, oracle_dim=801)
         assert abs(big - small) < 1e-9
+
+
+def test_cached_arrays_are_read_only():
+    for cached in (
+        lambda: _ho_embedded_hamiltonian(FLUXONIUM, LengthScale.LC, 1001),
+        lambda: _fluxonium_reference(FLUXONIUM, 1001),
+        lambda: _transmon_reference(TRANSMON, 401),
+    ):
+        before = cached().copy()
+        with pytest.raises(ValueError):
+            cached().flat[0] = 99.0
+        assert np.array_equal(cached(), before)
 
 
 def test_transmon_reference_oracle_self_consistent():
