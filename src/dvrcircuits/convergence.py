@@ -17,7 +17,7 @@ import numpy as np
 
 from .circuits import CircuitSpec
 from .errors import ConfigError
-from .spectra import Representation, check_compatible, eigenvalues, reference_energy
+from .spectra import Representation, check_compatible, eigenvalues_by_size, reference_energy
 
 DEFAULT_THRESHOLD_GHZ = 1e-6
 PRECISION_FLOOR_GHZ = 1e-12
@@ -79,7 +79,11 @@ def sweep_levels(
     scale: Scale = Scale.ABSOLUTE,
 ) -> list[ConvergenceCurve]:
     """Delta_n versus matrix size for every level from one eigensolve per size;
-    the curve of level n samples only the sizes d > n, the ones that contain it."""
+    the curve of level n samples only the sizes d > n, the ones that contain it.
+
+    All sizes are solved in one call to :func:`spectra.eigenvalues_by_size`,
+    which assembles a nested representation once, at the largest size.
+    """
     sizes, levels = tuple(sizes), tuple(levels)
     if not sizes or not levels:
         raise ConfigError("empty size or level list")
@@ -90,7 +94,7 @@ def sweep_levels(
         raise ConfigError(f"level {top} not contained in the largest size {max(sizes)}")
     check_compatible(spec, rep)
     refs = [reference_energy(spec, n) for n in levels]
-    spectra = [eigenvalues(spec, rep, d, min(top, d - 1)) for d in sizes]
+    spectra = eigenvalues_by_size(spec, rep, sizes, top)
     unit = energy_scale(spec) if scale is Scale.LC_SCALED else 1.0
     curves = []
     for n, ref in zip(levels, refs):

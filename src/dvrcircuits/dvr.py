@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ConfigError
 
@@ -201,7 +202,7 @@ def conj_function_truncated(basis: DvrBasis, g: Callable[[np.ndarray], np.ndarra
     The truncated DVR's states and the conjugate eigenbasis are related by the
     unitary centered discrete Fourier transform F, so the represented operator
     is F^dag diag(g(y_n)) F with y_n = n * conjugate_spacing.  The result is
-    circulant; only its first column is computed.
+    circulant; only its first column is computed, by one FFT of length d.
     """
     if not basis.kind.is_truncated:
         raise ConfigError("conj_function_truncated requires a truncated kind")
@@ -210,17 +211,16 @@ def conj_function_truncated(basis: DvrBasis, g: Callable[[np.ndarray], np.ndarra
     values = np.asarray(g(n * basis.conjugate_spacing), dtype=float)
     if not np.all(np.isfinite(values)):
         raise ConfigError("function is not finite on the conjugate grid")
-    # Exponent sign fixed so phase kinds reproduce the direct finite sum for
-    # N-hat and charge kinds the analogous sum for theta-hat.
-    sign = -1.0 if basis.kind.is_phase else 1.0
-    k = np.arange(d)  # (alpha - beta) mod d
-    col = (values[None, :] * np.exp(sign * 2j * np.pi * np.outer(k, n) / d)).sum(axis=1) / d
-    idx = np.arange(-M, M + 1)
-    entries = col[(idx[:, None] - idx[None, :]) % d]
+    # col[k] = sum_n values_n exp(+-2 pi i k n / d) / d for k = (alpha - beta)
+    # mod d.  The exponent sign is fixed so phase kinds reproduce the direct
+    # finite sum for N-hat and charge kinds the analogous sum for theta-hat;
+    # ifftshift puts n = 0 first, so the sum over n is a DFT of length d.
+    wrapped = np.fft.ifftshift(values)
+    col = np.fft.fft(wrapped) / d if basis.kind.is_phase else np.fft.ifft(wrapped)
     # col[k] and conj(col[d-k]) are computed independently and can differ by a
     # rounding ulp; average so the analytically Hermitian result is exactly so.
-    entries = 0.5 * (entries + entries.conj().T)
-    return OperatorMatrix(entries, basis.basis_tag)
+    col = 0.5 * (col + np.roll(col[::-1], 1).conj())
+    return OperatorMatrix(scipy.linalg.circulant(col), basis.basis_tag)
 
 
 def conj_moment_truncated(basis: DvrBasis, power: int) -> OperatorMatrix:

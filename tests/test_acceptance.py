@@ -5,8 +5,9 @@ lines always appear in the run log) and then asserts the same condition.
 Criterion 8 concerns the sign of the asymptotic ground-state offset of the LC
 oscillator at dN = 1/4; a 50-digit oracle puts that offset at -4.8e-24 GHz,
 ten orders of magnitude below the double-precision saturation floor, so the
-sign cannot be resolved by this package and the criterion is expected to fail
-(see the repository notes).
+sign it tests is eigensolver roundoff and the outcome depends on the platform:
+it has passed with a final Delta_0 = -9.664e-14 GHz and failed with
++7.95e-14 GHz on another machine (see the README).
 """
 
 import math

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dvrcircuits.circuits import CircuitSpec
 from dvrcircuits.convergence import (
@@ -19,11 +20,22 @@ from dvrcircuits.dvr import DvrKind, Spacing
 from dvrcircuits.errors import ConfigError
 from dvrcircuits.fdm import Boundary
 from dvrcircuits.ho import LengthScale
-from dvrcircuits.spectra import DvrRep, FdRep, HoRep, assemble, charge_basis
+from dvrcircuits.spectra import (
+    DvrRep,
+    FdRep,
+    HoRep,
+    _solver_matrix,
+    _solves_banded,
+    assemble,
+    charge_basis,
+    half_bandwidth,
+    reference_energy,
+)
 
 LC = CircuitSpec.lc(1.0, 1.0)
 FLUXONIUM = CircuitSpec.fluxonium(2.5, 0.5, 10.0, 0.5)
 TRANSMON = CircuitSpec.transmon(0.2, 10.0, 0.5)
+CHARGE_LIMIT = CircuitSpec.transmon(5.0, 5.0, 0.5)
 
 
 def _curve(deltas, level=0):
@@ -192,3 +204,56 @@ def test_sweep_levels_starts_each_curve_above_its_level():
     assert [c.sizes[0] for c in curves] == [3, 5, 5]
     with pytest.raises(ConfigError):
         sweep_levels(LC, rep, default_sizes(11), (0, 11))
+
+
+@pytest.mark.parametrize(
+    "spec, rep, sizes",
+    [
+        # M >= 2 with d < D: several bands, each cut at the block's edge
+        (LC, FdRep(math.pi / 48, 1, Boundary.BOUNDED), tuple(range(7, 202, 4))),
+        (LC, FdRep(math.pi / 48, 2, Boundary.BOUNDED), tuple(range(7, 202, 4))),
+        (LC, FdRep(math.pi / 48, 3, Boundary.BOUNDED), tuple(range(7, 202, 4))),
+        (TRANSMON, charge_basis(), default_sizes(101)),
+        (CHARGE_LIMIT, charge_basis(), default_sizes(101)),
+    ],
+)
+def test_banded_sweep_matches_per_size_dense_solves(spec, rep, sizes):
+    top = assemble(spec, rep, max(sizes)).entries
+    assert _solves_banded(half_bandwidth(top), top.shape[0])
+    levels = (0, 1, 2)
+    dense = {}
+    for d in sizes:
+        h = assemble(spec, rep, d).entries
+        dense[d] = (scipy.linalg.eigvalsh(h, subset_by_index=(0, 2)), np.abs(h).max())
+    for curve in sweep_levels(spec, rep, sizes, levels):
+        ref = reference_energy(spec, curve.level)
+        want = np.array([dense[d][0][curve.level] - ref for d in curve.sizes])
+        norms = np.array([dense[d][1] for d in curve.sizes])
+        assert np.all(np.abs(curve.deltas - want) <= 64 * np.finfo(float).eps * norms)
+        alone = ConvergenceCurve(curve.level, curve.sizes, want)
+        for threshold in (1e-6, 1e-4, 1e-3, 1e-2):
+            assert decoherence_R(curve, threshold) == decoherence_R(alone, threshold)
+
+
+@pytest.mark.parametrize(
+    "spec, rep",
+    [
+        (FLUXONIUM, DvrRep(DvrKind.TRADITIONAL_PHASE, Spacing(5, 32, pi=True))),
+        (FLUXONIUM, DvrRep(DvrKind.TRADITIONAL_CHARGE, Spacing(1, 5))),
+        (LC, DvrRep(DvrKind.TRADITIONAL_CHARGE, Spacing(1, 4))),
+        (FLUXONIUM, HoRep(LengthScale.LC)),
+        (FLUXONIUM, HoRep(LengthScale.PLASMA)),
+    ],
+)
+def test_sliced_dense_sweep_equals_per_size_solves_exactly(spec, rep):
+    # One assembly at the largest size, sliced, must give bit for bit what
+    # assembling and solving every size on its own gives.
+    sizes = default_sizes(61)
+    for curve in sweep_levels(spec, rep, sizes, (0, 1, 2)):
+        ref = reference_energy(spec, curve.level)
+        want = [
+            scipy.linalg.eigvalsh(_solver_matrix(assemble(spec, rep, d).entries),
+                                  subset_by_index=(0, 2))[curve.level] - ref
+            for d in curve.sizes
+        ]
+        assert np.array_equal(curve.deltas, want)

@@ -9,6 +9,7 @@ from dvrcircuits.dvr import (
     DvrKind,
     Spacing,
     basis_function_values,
+    conj_function_truncated,
     conj_moment_traditional,
     conj_moment_truncated,
     conj_moment_truncated_direct,
@@ -170,13 +171,49 @@ def test_truncated_m1_three_term_sum_oracle():
 @pytest.mark.parametrize("kind", TRUNCATED)
 @pytest.mark.parametrize("power", [1, 2])
 def test_dft_path_matches_direct_sum(kind, power):
-    for M in (1, 4, 17, 50):
+    for M in (1, 2, 4, 10, 17, 50):
         b = _basis(kind, 5, 32, M)
         a = conj_moment_truncated(b, power).entries
         d = conj_moment_truncated_direct(b, power).entries
         # absolute floor for small-magnitude moments, relative bound once the
         # second-moment entries grow to O(100) and summation rounding scales up
         assert np.abs(a - d).max() < max(1e-12, 2e-14 * np.abs(a).max())
+
+
+def _compensated_column(b, g):
+    """First column of the truncated-DVR circulant of g from compensated sums,
+    with the phase index n*k reduced mod d exactly before scaling by 2*pi/d."""
+    M, d, dy = b.M, b.dim, b.conjugate_spacing
+    sign = -1.0 if b.kind.is_phase else 1.0
+    values = [(n, g(n * dy)) for n in range(-M, M + 1)]
+    col = []
+    for k in range(d):
+        terms = [(v, 2.0 * math.pi * (n * k % d) / d) for n, v in values]
+        re = math.fsum(v * math.cos(t) for v, t in terms)
+        im = math.fsum(v * math.sin(t) for v, t in terms)
+        col.append(complex(re, sign * im) / d)
+    return np.array(col)
+
+
+@pytest.mark.parametrize(
+    "kind, spacing",
+    [
+        (DvrKind.TRUNCATED_PHASE, None),  # the transmon's 2*pi/d grid, dN = 1
+        (DvrKind.TRUNCATED_PHASE, Spacing(1, 64, pi=True)),
+        (DvrKind.TRUNCATED_CHARGE, Spacing(1, 5)),
+    ],
+)
+def test_fft_circulant_matches_compensated_sums(kind, spacing):
+    # (N - N_g)^2 at N_g = 1/2 is not even, so its circulant is complex.
+    # Summing exp(2 pi i n k / d) directly loses accuracy as n*k grows (53 ulp
+    # of the largest entry at M = 150); one FFT stays within 2.
+    eps = np.finfo(float).eps
+    for M in (1, 2, 10, 50, 150):
+        b = DvrBasis(kind, spacing or Spacing(2, 2 * M + 1, pi=True), M)
+        for g in (lambda y: y, np.square, lambda y: (y - 0.5) ** 2):
+            want = _compensated_column(b, g)
+            got = conj_function_truncated(b, g).entries[:, 0]
+            assert np.abs(got - want).max() <= 4 * eps * np.abs(want).max()
 
 
 def test_truncated_continuum_limit_matches_traditional():

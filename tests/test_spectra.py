@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dvrcircuits.circuits import CircuitSpec
 from dvrcircuits.dvr import DvrBasis, DvrKind, Spacing
@@ -9,6 +12,7 @@ from dvrcircuits.errors import ConfigError, IncompatibleRepresentationError, Num
 from dvrcircuits.fdm import Boundary
 from dvrcircuits.ho import LengthScale
 from dvrcircuits.dvr import OperatorMatrix
+from dvrcircuits.convergence import sweep
 from dvrcircuits.spectra import (
     DvrRep,
     FdRep,
@@ -23,6 +27,8 @@ from dvrcircuits.spectra import (
     concrete_dvr_basis,
     eigensolve,
     eigenvalues,
+    eigenvalues_by_size,
+    nested_start,
     reference_energy,
 )
 
@@ -134,6 +140,78 @@ def test_fluxonium_phase_dvr_persymmetric_at_half_flux():
         assert np.array_equal(h, h[::-1, ::-1].T)
 
 
+def test_ho_assembly_rejects_sizes_above_embedding():
+    rep = HoRep(LengthScale.LC, embed_dim=101)
+    assert assemble(FLUXONIUM, rep, 101).dim == 101
+    with pytest.raises(ConfigError, match="embedding"):
+        assemble(FLUXONIUM, rep, 151)
+    # a sweep assembles only its largest size; it must not report a 101-state
+    # result for the sizes 151 and 201
+    with pytest.raises(ConfigError, match="embedding"):
+        sweep(FLUXONIUM, rep, (99, 101, 151, 201))
+
+
+# ---------------------------------------------------------------------------
+# nesting: every size of a nested representation is a block of the largest
+
+_odd = st.integers(1, 30).map(lambda m: 2 * m + 1)
+_phase_spacing = st.builds(Spacing, st.integers(1, 9), st.integers(1, 64), st.just(True))
+_charge_spacing = st.builds(Spacing, st.integers(1, 9), st.integers(1, 20))
+# the fluxonium cosine in a charge DVR needs an integer 1/dN
+_inverse_integer_charge_spacing = st.builds(Spacing, st.just(1), st.integers(1, 15))
+_transmon = st.builds(CircuitSpec.transmon, st.floats(0.1, 5.0), st.floats(0.1, 50.0), st.floats(-1.0, 1.0))
+_nested_cases = st.one_of(
+    st.tuples(st.sampled_from([LC, FLUXONIUM]), st.builds(DvrRep, st.just(DvrKind.TRADITIONAL_PHASE), _phase_spacing)),
+    st.tuples(st.just(LC), st.builds(DvrRep, st.just(DvrKind.TRADITIONAL_CHARGE), _charge_spacing)),
+    st.tuples(st.just(FLUXONIUM),
+              st.builds(DvrRep, st.just(DvrKind.TRADITIONAL_CHARGE), _inverse_integer_charge_spacing)),
+    st.tuples(_transmon, st.just(charge_basis())),
+    st.tuples(st.sampled_from([LC, FLUXONIUM]),
+              st.builds(FdRep, st.floats(1e-3, 1.0), st.integers(1, 3), st.just(Boundary.BOUNDED))),
+    st.tuples(st.just(FLUXONIUM), st.builds(HoRep, st.sampled_from(LengthScale), st.just(121))),
+    st.tuples(st.just(LC), st.just(HoRep(LengthScale.LC, 121))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_nested_cases, _odd, _odd)
+def test_nested_sizes_are_exact_blocks_of_the_largest(case, a, b):
+    spec, rep = case
+    dim, top = sorted((a, b))
+    if isinstance(rep, FdRep):
+        dim = max(dim, 2 * rep.order_M + 1)
+        top = max(top, dim)
+    start = nested_start(rep, top, dim)
+    assert start == (0 if isinstance(rep, HoRep) else (top - dim) // 2)
+    big = assemble(spec, rep, top).entries
+    assert np.array_equal(assemble(spec, rep, dim).entries, big[start : start + dim, start : start + dim])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([DvrKind.TRUNCATED_PHASE, DvrKind.TRUNCATED_CHARGE]), st.sampled_from([LC, FLUXONIUM]),
+       st.integers(1, 15), _odd, _odd)
+def test_truncated_dvrs_are_not_nested(kind, spec, den, a, b):
+    dim, top = sorted((a, b))
+    top += 2 * (dim == top)
+    rep = DvrRep(kind, Spacing(1, den, pi=kind.is_phase))
+    assert nested_start(rep, top, dim) is None
+    s = (top - dim) // 2
+    block = assemble(spec, rep, top).entries[s : s + dim, s : s + dim]
+    assert not np.array_equal(assemble(spec, rep, dim).entries, block)
+
+
+def test_size_dependent_grids_are_not_nested():
+    assert nested_start(DvrRep(DvrKind.TRUNCATED_PHASE, None), 21, 11) is None
+    assert nested_start(FdRep(None, 1, Boundary.PERIODIC), 21, 11) is None
+
+
+def test_nested_start_rejects_sizes_assemble_rejects():
+    with pytest.raises(ConfigError):
+        nested_start(DvrRep(DvrKind.TRADITIONAL_PHASE, Spacing(1, 4, pi=True)), 21, 10)
+    with pytest.raises(ConfigError, match="stencil"):
+        nested_start(FdRep(0.1, 2, Boundary.BOUNDED), 21, 3)
+
+
 # ---------------------------------------------------------------------------
 # eigensolver
 
@@ -172,6 +250,28 @@ def test_eigensolve_residuals_backward_stable():
 def test_transmon_degeneracy_lifted_at_half_charge():
     spectrum = eigensolve(assemble(CHARGE_LIMIT, charge_basis(), 41), 2)
     assert spectrum.energies[1] - spectrum.energies[0] > 1e-3
+
+
+def test_banded_solver_gets_exactly_the_band_storage_of_each_block(monkeypatch):
+    # LAPACK does not read the padding of band storage, so a stale entry there
+    # would not change an eigenvalue; pin what is handed over instead.
+    rep, sizes = FdRep(math.pi / 48, 3, Boundary.BOUNDED), (7, 11, 41)
+    seen = []
+    real = scipy.linalg.eig_banded
+
+    def spy(ab, **kwargs):
+        seen.append(ab.copy())
+        return real(ab, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eig_banded", spy)
+    eigenvalues_by_size(LC, rep, sizes, 2)
+    assert len(seen) == len(sizes)
+    for ab, d in zip(seen, sizes):
+        h = assemble(LC, rep, d).entries
+        want = np.zeros((min(3, d - 1) + 1, d))
+        for k in range(want.shape[0]):
+            want[k, : d - k] = np.diagonal(h, -k)
+        assert np.array_equal(ab, want)
 
 
 def test_lc_quarter_charge_reaches_exact_energy():
