@@ -2,8 +2,9 @@
 
 A run is described by a single JSON config (or a named preset) and produces
 deterministic CSV files plus a ``manifest.json`` recording the config hash,
-library versions, and wall time.  Plotting is out of process: ``--emit-plot-script``
-writes a gnuplot script next to the data.
+library versions, BLAS thread variables, and wall time.  Runs are sequential.
+Plotting is out of process: ``--emit-plot-script`` writes a gnuplot script next
+to the data.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure.
 """
@@ -11,9 +12,9 @@ Exit codes: 0 success, 2 config error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -150,7 +151,10 @@ class RunConfig:
 
 def _parse_sizes(raw) -> tuple[int, ...]:
     if isinstance(raw, dict):
-        return default_sizes(int(raw.get("largest", 301)), int(raw.get("stride", 1)))
+        stride = int(raw.get("stride", 1))
+        if stride < 1:
+            raise ConfigError(f"size stride must be >= 1, got {stride}")
+        return default_sizes(int(raw.get("largest", 301)), stride)
     if isinstance(raw, list):
         return tuple(int(s) for s in raw)
     raise ConfigError(f"sizes must be a list or a range spec, got {raw!r}")
@@ -168,18 +172,22 @@ def config_from_dict(data: dict) -> RunConfig:
     for required in ("circuit", "representations", "sizes"):
         if required not in data:
             raise ConfigError(f"config requires a '{required}' field")
-    return RunConfig(
-        circuit=CircuitSpec.from_dict(data["circuit"]),
-        representations=tuple(rep_from_dict(r) for r in data["representations"]),
-        sizes=_parse_sizes(data["sizes"]),
-        levels=tuple(int(n) for n in data.get("levels", [0])),
-        threshold_GHz=float(data.get("threshold_GHz", DEFAULT_THRESHOLD_GHZ)),
-        scale=Scale(data.get("scale", "absolute")),
-        decompose_floor=float(data.get("decompose_floor", 1e-20)),
-        shift_betas=tuple(int(b) for b in data.get("shift_betas", [0, 1, 2])),
-        shift_direction=int(data.get("shift_direction", 1)),
-        shift_rediagonalize=bool(data.get("shift_rediagonalize", False)),
-    )
+    try:
+        fields = dict(
+            circuit=CircuitSpec.from_dict(data["circuit"]),
+            representations=tuple(rep_from_dict(r) for r in data["representations"]),
+            sizes=_parse_sizes(data["sizes"]),
+            levels=tuple(int(n) for n in data.get("levels", [0])),
+            threshold_GHz=float(data.get("threshold_GHz", DEFAULT_THRESHOLD_GHZ)),
+            scale=Scale(data.get("scale", "absolute")),
+            decompose_floor=float(data.get("decompose_floor", 1e-20)),
+            shift_betas=tuple(int(b) for b in data.get("shift_betas", [0, 1, 2])),
+            shift_direction=int(data.get("shift_direction", 1)),
+            shift_rediagonalize=bool(data.get("shift_rediagonalize", False)),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad config value: {exc}") from exc
+    return RunConfig(**fields)
 
 
 def load_config(path: str) -> RunConfig:
@@ -276,6 +284,11 @@ def _write_manifest(out: Path, command: str, config: RunConfig, wall_time: float
             "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
+        # the BLAS thread count can move the last bits of an eigenvalue (criterion 8)
+        "thread_env": {
+            var: os.environ.get(var)
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        },
         "wall_time_s": wall_time,
         "files": files,
     }
@@ -303,24 +316,18 @@ def _plot_script(out: Path, csv_files: list[str], ylabel: str) -> None:
 # commands
 
 
-def _curves(config: RunConfig, threads: int, levels: tuple[int, ...]):
-    """(rep, curve) for every rep and level, rep-major; one sweep per rep on a worker pool."""
-    reps = config.representations
-
-    def run(rep):
-        return sweep_levels(config.circuit, rep, config.sizes, levels, config.scale)
-
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            per_rep = list(pool.map(run, reps))
-    else:
-        per_rep = [run(rep) for rep in reps]
-    return [(rep, curve) for rep, curves in zip(reps, per_rep) for curve in curves]
+def _curves(config: RunConfig, levels: tuple[int, ...]):
+    """(rep, curve) for every rep and level, rep-major; one sweep per rep."""
+    return [
+        (rep, curve)
+        for rep in config.representations
+        for curve in sweep_levels(config.circuit, rep, config.sizes, levels, config.scale)
+    ]
 
 
-def cmd_curve(config: RunConfig, out: Path, threads: int, plot: bool) -> list[str]:
+def cmd_curve(config: RunConfig, out: Path, plot: bool) -> list[str]:
     files = []
-    for rep, curve in _curves(config, threads, config.levels):
+    for rep, curve in _curves(config, config.levels):
         name = f"curve_{config.circuit.family.value}_{_slug(rep)}_n{curve.level}.csv"
         rows = [
             (size, float(delta), abs(float(delta)), int(np.sign(delta)) or 1)
@@ -339,13 +346,12 @@ _METRICS_HEADER = [
 ]
 
 
-def _write_metrics(config: RunConfig, out: Path, threads: int, levels: tuple[int, ...],
-                   name: str) -> list[str]:
+def _write_metrics(config: RunConfig, out: Path, levels: tuple[int, ...], name: str) -> list[str]:
     threshold = config.threshold_GHz
     if config.scale is Scale.LC_SCALED:
         threshold /= energy_scale(config.circuit)
     rows = []
-    for rep, curve in _curves(config, threads, levels):
+    for rep, curve in _curves(config, levels):
         record = metrics(curve, threshold)
         kind, num, den, pi = _rep_columns(rep)
         rows.append(
@@ -359,15 +365,15 @@ def _write_metrics(config: RunConfig, out: Path, threads: int, levels: tuple[int
     return [name]
 
 
-def cmd_metrics(config: RunConfig, out: Path, threads: int, plot: bool) -> list[str]:
-    return _write_metrics(config, out, threads, (config.levels[0],), "metrics.csv")
+def cmd_metrics(config: RunConfig, out: Path, plot: bool) -> list[str]:
+    return _write_metrics(config, out, (config.levels[0],), "metrics.csv")
 
 
-def cmd_levels(config: RunConfig, out: Path, threads: int, plot: bool) -> list[str]:
-    return _write_metrics(config, out, threads, config.levels, "levels.csv")
+def cmd_levels(config: RunConfig, out: Path, plot: bool) -> list[str]:
+    return _write_metrics(config, out, config.levels, "levels.csv")
 
 
-def cmd_decompose(config: RunConfig, out: Path, threads: int, plot: bool) -> list[str]:
+def cmd_decompose(config: RunConfig, out: Path, plot: bool) -> list[str]:
     files = []
     dim = max(config.sizes)
     levels = max(config.levels) + 1
@@ -385,7 +391,7 @@ def cmd_decompose(config: RunConfig, out: Path, threads: int, plot: bool) -> lis
     return files
 
 
-def cmd_shift(config: RunConfig, out: Path, threads: int, plot: bool) -> list[str]:
+def cmd_shift(config: RunConfig, out: Path, plot: bool) -> list[str]:
     if config.circuit.family is not Family.FLUXONIUM:
         raise ConfigError("the shift command sweeps fluxonium flux; use a fluxonium circuit")
     phase_reps = [
@@ -430,7 +436,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON run configuration")
     parser.add_argument("--preset", choices=PRESETS, help="built-in run configuration")
     parser.add_argument("--out", default="out", help="output directory (default: out)")
-    parser.add_argument("--threads", type=int, default=1, help="worker count (default: 1)")
+    parser.add_argument(
+        "--threads", type=int, default=1,
+        help="accepted for compatibility and ignored: runs are sequential (must be >= 1)",
+    )
     parser.add_argument(
         "--emit-plot-script", action="store_true",
         help="write a gnuplot script next to the CSV data",
@@ -449,7 +458,7 @@ def main(argv: list[str] | None = None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         start = time.monotonic()
-        files = COMMANDS[args.command](config, out, args.threads, args.emit_plot_script)
+        files = COMMANDS[args.command](config, out, args.emit_plot_script)
         _write_manifest(out, args.command, config, time.monotonic() - start, files)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

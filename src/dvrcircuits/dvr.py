@@ -246,15 +246,12 @@ def conj_moment_truncated_direct(basis: DvrBasis, power: int) -> OperatorMatrix:
     entries = np.empty((d, d), dtype=complex)
     for a in range(-M, M + 1):
         for b in range(-M, M + 1):
-            # compensated accumulation: the terms cancel heavily for a != b
-            re = math.fsum(
-                (n * dy) ** power * math.cos(2.0 * math.pi * n * (a - b) / d)
-                for n in range(-M, M + 1)
-            )
-            im = math.fsum(
-                (n * dy) ** power * sign * math.sin(2.0 * math.pi * n * (a - b) / d)
-                for n in range(-M, M + 1)
-            )
+            # compensated accumulation: the terms cancel heavily for a != b;
+            # n*(a-b) is reduced mod d in integers so the phase carries no
+            # rounding that grows with M
+            phases = [(n, 2.0 * math.pi * (n * (a - b) % d) / d) for n in range(-M, M + 1)]
+            re = math.fsum((n * dy) ** power * math.cos(t) for n, t in phases)
+            im = math.fsum((n * dy) ** power * sign * math.sin(t) for n, t in phases)
             entries[a + M, b + M] = complex(re, im) / d
     return OperatorMatrix(entries, basis.basis_tag)
 
@@ -279,9 +276,12 @@ def cosine_in_charge(basis: DvrBasis, A: float, sign: int = +1) -> OperatorMatri
     k = frac.denominator
     d = basis.dim
     # For d <= k both bands fall outside the matrix and the tunneling term
-    # contributes nothing (np.eye returns all zeros for |k| >= d).
+    # contributes nothing (the index ranges below are empty).
     upper = 0.5 * np.exp(sign * 2j * np.pi * A)  # alpha = beta - k
-    entries = upper * np.eye(d, k=k) + np.conj(upper) * np.eye(d, k=-k)
+    entries = np.zeros((d, d), dtype=complex)
+    rows = np.arange(d - k)
+    entries[rows, rows + k] = upper
+    entries[rows + k, rows] = np.conj(upper)
     return OperatorMatrix(entries, basis.basis_tag)
 
 

@@ -14,7 +14,6 @@ a sub-matrix of the same embedded operator.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -27,8 +26,6 @@ from .dvr import OperatorMatrix
 from .errors import ConfigError
 
 DEFAULT_EMBED_DIM = 1001
-
-_embed_lock = threading.Lock()
 
 
 class LengthScale(str, Enum):
@@ -113,6 +110,5 @@ def _embedded_cos(theta0: float, embed_dim: int, A: float) -> np.ndarray:
 
 def cos_in_ho(basis: HoBasis, A: float) -> OperatorMatrix:
     """cos(theta + 2*pi*A), built in embed_dim states and truncated to dim."""
-    with _embed_lock:
-        c = _embedded_cos(basis.theta0, basis.embed_dim, A)
-    return OperatorMatrix(c[: basis.dim, : basis.dim], basis.basis_tag)
+    c = _embedded_cos(basis.theta0, basis.embed_dim, A)[: basis.dim, : basis.dim]
+    return OperatorMatrix(c, basis.basis_tag)

@@ -68,11 +68,8 @@ def fd_representations() -> list[Representation]:
     return [FdRep(float(f) * math.pi, 1, Boundary.BOUNDED) for f in FD_PHASE_GRIDS]
 
 
-def lc_representations(include_fd: bool = False) -> list[Representation]:
-    reps = _dvr_reps(LC_CHARGE_GRIDS, PHASE_GRIDS)
-    if include_fd:
-        reps += fd_representations()
-    return reps
+def lc_representations() -> list[Representation]:
+    return _dvr_reps(LC_CHARGE_GRIDS, PHASE_GRIDS)
 
 
 def fluxonium_representations() -> list[Representation]:

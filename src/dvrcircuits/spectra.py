@@ -13,7 +13,6 @@ diagonalization (fluxonium), or a converged charge-basis oracle (transmon).
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -38,8 +37,6 @@ from .fdm import Boundary, FdGrid, fd_hamiltonian
 from .ho import DEFAULT_EMBED_DIM, HoBasis, LengthScale, cos_in_ho, length_scale, quadratic_operators
 
 HERMITICITY_RTOL = 1e-13
-
-_reference_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -212,8 +209,7 @@ def _assemble_ho(spec: CircuitSpec, rep: HoRep, dim: int) -> OperatorMatrix:
         raise IncompatibleRepresentationError("harmonic-oscillator transmon is unsupported")
     if dim > rep.embed_dim:
         raise ConfigError(f"matrix dimension {dim} exceeds the HO embedding size {rep.embed_dim}")
-    with _reference_lock:
-        h = _ho_embedded_hamiltonian(spec, rep.scale, rep.embed_dim)
+    h = _ho_embedded_hamiltonian(spec, rep.scale, rep.embed_dim)
     theta0 = length_scale(spec, rep.scale)
     tag = f"ho[theta0={theta0:.6g}, dim={dim}]"
     return OperatorMatrix(np.array(h[:dim, :dim]), tag)
@@ -398,7 +394,6 @@ def reference_energy(spec: CircuitSpec, level: int, oracle_dim: int | None = Non
         raise ConfigError(f"level must be >= 0, got {level}")
     if spec.family is Family.LC:
         return math.sqrt(8.0 * spec.E_C * spec.E_L) * (level + 0.5)
-    with _reference_lock:
-        if spec.family is Family.FLUXONIUM:
-            return float(_fluxonium_reference(spec, oracle_dim or DEFAULT_EMBED_DIM)[level])
-        return float(_transmon_reference(spec, oracle_dim or 401)[level])
+    if spec.family is Family.FLUXONIUM:
+        return float(_fluxonium_reference(spec, oracle_dim or DEFAULT_EMBED_DIM)[level])
+    return float(_transmon_reference(spec, oracle_dim or 401)[level])

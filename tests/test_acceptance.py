@@ -5,9 +5,10 @@ lines always appear in the run log) and then asserts the same condition.
 Criterion 8 concerns the sign of the asymptotic ground-state offset of the LC
 oscillator at dN = 1/4; a 50-digit oracle puts that offset at -4.8e-24 GHz,
 ten orders of magnitude below the double-precision saturation floor, so the
-sign it tests is eigensolver roundoff and the outcome depends on the platform:
-it has passed with a final Delta_0 = -9.664e-14 GHz and failed with
-+7.95e-14 GHz on another machine (see the README).
+sign it tests is eigensolver roundoff and the outcome depends on the platform.
+It even follows the BLAS thread count on one machine: on 2 cores with
+OpenBLAS's default two threads it passes with a final Delta_0 = -9.664e-14 GHz,
+and with OPENBLAS_NUM_THREADS=1 it fails with +7.953e-14 GHz (see the README).
 """
 
 import math

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dvrcircuits.cli import (
     COMMANDS,
@@ -15,11 +17,13 @@ from dvrcircuits.cli import (
     rep_to_dict,
 )
 from dvrcircuits.circuits import CircuitSpec
+from dvrcircuits.convergence import Scale
 from dvrcircuits.dvr import DvrKind, Spacing
 from dvrcircuits.errors import ConfigError
 from dvrcircuits.fdm import Boundary
 from dvrcircuits.ho import LengthScale
-from dvrcircuits.spectra import DvrRep, FdRep, HoRep
+from dvrcircuits.presets import CHARGE_LIMIT, FLUXONIUM_CIRCUIT, LC_CIRCUIT, TRANSMON_LIMIT
+from dvrcircuits.spectra import DvrRep, FdRep, HoRep, charge_basis
 
 
 LC_CONFIG = {
@@ -88,6 +92,42 @@ def test_config_validates_compatibility():
 def test_sizes_range_spec():
     config = config_from_dict(dict(LC_CONFIG, sizes={"largest": 9}))
     assert config.sizes == (3, 5, 7, 9)
+
+
+_spacing = st.builds(Spacing, st.integers(1, 9), st.integers(1, 64), st.booleans())
+_bounded_reps = st.one_of(
+    st.builds(DvrRep, st.sampled_from(DvrKind), _spacing),
+    st.builds(HoRep, st.sampled_from(LengthScale), st.integers(1, 2001)),
+    st.builds(FdRep, st.floats(1e-3, 1.0), st.integers(1, 3), st.just(Boundary.BOUNDED)),
+)
+_periodic_reps = st.one_of(
+    st.just(charge_basis()),
+    st.just(DvrRep(DvrKind.TRUNCATED_PHASE, None)),
+    st.builds(FdRep, st.none(), st.integers(1, 3), st.just(Boundary.PERIODIC)),
+)
+_random_configs = st.one_of(
+    st.tuples(st.sampled_from([LC_CIRCUIT, FLUXONIUM_CIRCUIT]), st.lists(_bounded_reps, min_size=1, max_size=4)),
+    st.tuples(st.sampled_from([TRANSMON_LIMIT, CHARGE_LIMIT]), st.lists(_periodic_reps, min_size=1, max_size=3)),
+).flatmap(
+    lambda pair: st.builds(
+        RunConfig,
+        st.just(pair[0]),
+        st.just(tuple(pair[1])),
+        st.lists(st.integers(1, 601), min_size=1, max_size=5).map(tuple),
+        st.lists(st.integers(0, 6), min_size=1, max_size=4).map(tuple),
+        st.floats(1e-15, 1.0),
+        st.sampled_from(Scale),
+        st.floats(0.0, 1e-3),
+        st.lists(st.integers(-8, 8), max_size=4).map(tuple),
+        st.sampled_from([-1, 1]),
+        st.booleans(),
+    )
+)
+
+
+@given(st.one_of(st.sampled_from(PRESETS).map(preset_config), _random_configs))
+def test_config_round_trip(config):
+    assert config_from_dict(config.to_dict()) == config
 
 
 def test_presets_valid():
@@ -181,7 +221,23 @@ def test_shift_command(tmp_path):
     assert len(lines) == 1 + 101 * 2
 
 
-def test_manifest_contents(tmp_path):
+def test_shift_command_rediagonalize(tmp_path):
+    doc = {
+        "circuit": {"family": "fluxonium", "E_C": 2.5, "E_L": 0.5, "E_J": 10.0, "A": 0.5},
+        "representations": [
+            {"type": "dvr", "kind": "traditional_phase", "spacing": {"num": 1, "den": 8, "pi": True}}
+        ],
+        "sizes": [21],
+        "shift_betas": [0],
+        "shift_rediagonalize": True,
+    }
+    cfg = _write_config(tmp_path, doc)
+    assert main(["shift", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+
+
+def test_manifest_contents(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     cfg = _write_config(tmp_path, LC_CONFIG)
     out = tmp_path / "out"
     main(["curve", "--config", cfg, "--out", str(out)])
@@ -191,6 +247,10 @@ def test_manifest_contents(tmp_path):
     assert "numpy" in manifest["versions"]
     assert manifest["wall_time_s"] >= 0.0
     assert all(name.endswith(".csv") for name in manifest["files"])
+    threads = manifest["thread_env"]
+    assert set(threads) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+    assert threads["OPENBLAS_NUM_THREADS"] == "1"
+    assert threads["MKL_NUM_THREADS"] is None
 
 
 def test_plot_script_emission(tmp_path):
@@ -212,6 +272,33 @@ def test_exit_code_on_config_error(tmp_path):
     assert main(["metrics", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     # no files written on validation failure
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("scale", "bogus"),
+        ("sizes", {"largest": 21, "stride": 0}),
+        ("levels", ["x"]),
+        ("threshold_GHz", "abc"),
+    ],
+    ids=["scale", "stride", "levels", "threshold"],
+)
+def test_malformed_config_value_exits_2(tmp_path, field, value):
+    cfg = _write_config(tmp_path, dict(LC_CONFIG, **{field: value}))
+    assert main(["metrics", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert not (tmp_path / "x").exists()
+
+
+def test_threads_flag_is_validated_and_changes_nothing(tmp_path):
+    cfg = _write_config(tmp_path, LC_CONFIG)
+    assert main(["metrics", "--config", cfg, "--out", str(tmp_path / "x"), "--threads", "0"]) == 2
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        assert main(["levels", "--config", cfg, "--out", str(out), "--threads", threads]) == 0
+        outputs.append((out / "levels.csv").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_exactly_one_source_of_config(tmp_path):

@@ -178,6 +178,8 @@ def test_dft_path_matches_direct_sum(kind, power):
         # absolute floor for small-magnitude moments, relative bound once the
         # second-moment entries grow to O(100) and summation rounding scales up
         assert np.abs(a - d).max() < max(1e-12, 2e-14 * np.abs(a).max())
+        # with its phase index reduced exactly the oracle agrees to a few ulp
+        assert np.abs(a - d).max() <= 4 * np.finfo(float).eps * np.abs(a).max()
 
 
 def _compensated_column(b, g):
@@ -289,6 +291,17 @@ def test_cosine_identical_for_traditional_and_truncated():
     a = cosine_in_charge(DvrBasis(DvrKind.TRADITIONAL_CHARGE, Spacing(1, 3), 6), 0.3)
     b = cosine_in_charge(DvrBasis(DvrKind.TRUNCATED_CHARGE, Spacing(1, 3), 6), 0.3)
     assert np.array_equal(a.entries, b.entries)
+
+
+def test_cosine_bands_equal_scaled_identities():
+    # the bands are written directly; the dense scaled-identity sum is the reference
+    for d, k in ((1, 1), (3, 5), (7, 1), (9, 4), (301, 4)):
+        b = DvrBasis(DvrKind.TRUNCATED_CHARGE, Spacing(1, k), (d - 1) // 2)
+        for A in (0.0, 0.25, 0.37, 0.5):
+            for sign in (+1, -1):
+                upper = 0.5 * np.exp(sign * 2j * np.pi * A)
+                want = upper * np.eye(d, k=k) + np.conj(upper) * np.eye(d, k=-k)
+                assert np.array_equal(cosine_in_charge(b, A, sign).entries, want)
 
 
 def test_cosine_rejects_noninteger_inverse_spacing():

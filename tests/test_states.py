@@ -190,3 +190,18 @@ def test_flux_sweep_rows_and_reference_point():
 def test_flux_sweep_rejects_wrong_family():
     with pytest.raises(ConfigError):
         flux_sweep(CircuitSpec.lc(1.0, 1.0), PHASE_REP, 21, betas=(0,))
+
+
+def test_flux_sweep_rediagonalize_follows_the_ground_state():
+    a_values = np.array([0.3, 0.5])
+    fixed = flux_sweep(FLUXONIUM, PHASE_REP, 41, betas=(0,), a_values=a_values)
+    rediag = flux_sweep(FLUXONIUM, PHASE_REP, 41, betas=(0,), a_values=a_values, rediagonalize=True)
+    for a, held, fresh in zip(a_values, fixed, rediag):
+        spec_a = CircuitSpec.fluxonium(FLUXONIUM.E_C, FLUXONIUM.E_L, FLUXONIUM.E_J, a)
+        e_ground = eigensolve(assemble(spec_a, PHASE_REP, 41), 1).energies[0]
+        assert abs(fresh[2] - e_ground) < 1e-10
+        # the state held from A = 1/2 is no lower than the ground state at A
+        assert held[2] >= e_ground - 1e-10
+    # at A = spec.A both paths prepare the same ground state
+    assert abs(rediag[1][2] - fixed[1][2]) < 1e-10
+    assert abs(fixed[0][2] - rediag[0][2]) > 1e-6
