@@ -11,6 +11,8 @@ Hamiltonian terms that the basis modules know how to represent:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -62,14 +64,15 @@ class CircuitSpec:
         }[self.family]
         for name in ("E_C", "E_L", "E_J", "A", "N_g"):
             value = getattr(self, name)
-            if name in required:
-                if value is None:
+            if value is None:
+                if name in required:
                     raise ConfigError(f"{self.family.value} circuit requires {name}")
-            elif value is not None:
+                continue
+            if name not in required:
                 raise ConfigError(f"{name} is not a {self.family.value} parameter")
-        for name in ("E_C", "E_L", "E_J"):
-            value = getattr(self, name)
-            if value is not None and not value > 0:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite real number, got {value!r}")
+            if name in ("E_C", "E_L", "E_J") and not value > 0:
                 raise ConfigError(f"{name} must be strictly positive, got {value!r}")
 
     @classmethod

@@ -183,10 +183,14 @@ def config_from_dict(data: dict) -> RunConfig:
             decompose_floor=float(data.get("decompose_floor", 1e-20)),
             shift_betas=tuple(int(b) for b in data.get("shift_betas", [0, 1, 2])),
             shift_direction=int(data.get("shift_direction", 1)),
-            shift_rediagonalize=bool(data.get("shift_rediagonalize", False)),
+            shift_rediagonalize=data.get("shift_rediagonalize", False),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
+    if not isinstance(fields["shift_rediagonalize"], bool):
+        raise ConfigError(
+            f"shift_rediagonalize must be true or false, got {fields['shift_rediagonalize']!r}"
+        )
     return RunConfig(**fields)
 
 

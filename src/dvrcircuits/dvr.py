@@ -58,9 +58,12 @@ class Spacing:
     @classmethod
     def from_dict(cls, data: dict) -> "Spacing":
         try:
-            return cls(int(data["num"]), int(data["den"]), bool(data.get("pi", False)))
+            num, den, pi = int(data["num"]), int(data["den"]), data.get("pi", False)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad spacing descriptor {data!r}") from exc
+        if not isinstance(pi, bool):
+            raise ConfigError(f"spacing 'pi' must be true or false, got {pi!r}")
+        return cls(num, den, pi)
 
 
 class DvrKind(str, Enum):
@@ -115,11 +118,6 @@ class DvrBasis:
         """Quadrature weight c_alpha = 1/spacing, identical on every point."""
         return 1.0 / self.spacing_value
 
-    @property
-    def basis_tag(self) -> str:
-        star = "*pi" if self.spacing.pi else ""
-        return f"{self.kind.value}[{self.spacing.num}/{self.spacing.den}{star}, M={self.M}]"
-
     def to_dict(self) -> dict:
         return {"kind": self.kind.value, "spacing": self.spacing.to_dict(), "M": self.M}
 
@@ -133,10 +131,9 @@ class DvrBasis:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense square matrix tagged with its basis; Hermiticity is checked at the eigensolver."""
+    """Dense square matrix; Hermiticity is checked at the eigensolver."""
 
     entries: np.ndarray
-    basis_tag: str = ""
 
     def __post_init__(self):
         h = np.asarray(self.entries)
@@ -159,7 +156,7 @@ def diag_of_discretized(basis: DvrBasis, f: Callable[[np.ndarray], np.ndarray]) 
     values = np.asarray(f(grid_points(basis)), dtype=float)
     if not np.all(np.isfinite(values)):
         raise ConfigError("function is not finite at every grid point")
-    return OperatorMatrix(np.diag(values), basis.basis_tag)
+    return OperatorMatrix(np.diag(values))
 
 
 def _index_parity(M: int) -> np.ndarray:
@@ -193,7 +190,7 @@ def conj_moment_traditional(basis: DvrBasis, power: int) -> OperatorMatrix:
         off = 2.0 * parity / (s * s * safe * safe)
         diag = basis.conjugate_bound ** 2 / 3.0
         entries = np.where(diff == 0, diag, off).astype(complex)
-    return OperatorMatrix(entries, basis.basis_tag)
+    return OperatorMatrix(entries)
 
 
 def conj_function_truncated(basis: DvrBasis, g: Callable[[np.ndarray], np.ndarray]) -> OperatorMatrix:
@@ -220,7 +217,7 @@ def conj_function_truncated(basis: DvrBasis, g: Callable[[np.ndarray], np.ndarra
     # col[k] and conj(col[d-k]) are computed independently and can differ by a
     # rounding ulp; average so the analytically Hermitian result is exactly so.
     col = 0.5 * (col + np.roll(col[::-1], 1).conj())
-    return OperatorMatrix(scipy.linalg.circulant(col), basis.basis_tag)
+    return OperatorMatrix(scipy.linalg.circulant(col))
 
 
 def conj_moment_truncated(basis: DvrBasis, power: int) -> OperatorMatrix:
@@ -228,32 +225,6 @@ def conj_moment_truncated(basis: DvrBasis, power: int) -> OperatorMatrix:
     if power not in (1, 2):
         raise ConfigError(f"power must be 1 or 2, got {power}")
     return conj_function_truncated(basis, lambda y: y ** power)
-
-
-def conj_moment_truncated_direct(basis: DvrBasis, power: int) -> OperatorMatrix:
-    """Independent finite-sum evaluation of the truncated conjugate moments.
-
-    Slow elementwise reference path used to validate the DFT construction;
-    kept free of any shared machinery with conj_function_truncated.
-    """
-    if not basis.kind.is_truncated:
-        raise ConfigError("conj_moment_truncated_direct requires a truncated kind")
-    if power not in (1, 2):
-        raise ConfigError(f"power must be 1 or 2, got {power}")
-    M, d = basis.M, basis.dim
-    dy = basis.conjugate_spacing
-    sign = -1.0 if basis.kind.is_phase else 1.0
-    entries = np.empty((d, d), dtype=complex)
-    for a in range(-M, M + 1):
-        for b in range(-M, M + 1):
-            # compensated accumulation: the terms cancel heavily for a != b;
-            # n*(a-b) is reduced mod d in integers so the phase carries no
-            # rounding that grows with M
-            phases = [(n, 2.0 * math.pi * (n * (a - b) % d) / d) for n in range(-M, M + 1)]
-            re = math.fsum((n * dy) ** power * math.cos(t) for n, t in phases)
-            im = math.fsum((n * dy) ** power * sign * math.sin(t) for n, t in phases)
-            entries[a + M, b + M] = complex(re, im) / d
-    return OperatorMatrix(entries, basis.basis_tag)
 
 
 def cosine_in_charge(basis: DvrBasis, A: float, sign: int = +1) -> OperatorMatrix:
@@ -282,7 +253,7 @@ def cosine_in_charge(basis: DvrBasis, A: float, sign: int = +1) -> OperatorMatri
     rows = np.arange(d - k)
     entries[rows, rows + k] = upper
     entries[rows + k, rows] = np.conj(upper)
-    return OperatorMatrix(entries, basis.basis_tag)
+    return OperatorMatrix(entries)
 
 
 def sine_in_phase(basis: DvrBasis, A: float) -> OperatorMatrix:

@@ -121,5 +121,4 @@ def fd_hamiltonian(spec: CircuitSpec, grid: FdGrid) -> OperatorMatrix:
     d2 = second_derivative_matrix(grid)
     theta = grid.points()
     h = -4.0 * spec.E_C / grid.spacing ** 2 * d2 + np.diag(_potential(spec, theta))
-    tag = f"fdm[{grid.boundary.value}, dtheta={grid.spacing:.6g}, M={grid.order_M}]"
-    return OperatorMatrix(h, tag)
+    return OperatorMatrix(h)

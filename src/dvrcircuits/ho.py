@@ -6,9 +6,11 @@ length scale theta0 is fixed:
     theta = (theta0 / sqrt(2)) (a_dag + a)
     N     = (i / (sqrt(2) theta0)) (a_dag - a)
 
-Functions of theta (the cosine term) are evaluated by eigendecomposing theta
-in a large embedding space and truncating afterwards, so every matrix size is
-a sub-matrix of the same embedded operator.
+theta^2 and N^2 are pentadiagonal with closed-form elements, written at the
+requested size.  Functions of theta (the cosine term) are the one place the
+embedding is used: they are evaluated by eigendecomposing theta in a large
+embedding space and truncating afterwards, so every matrix size is a
+sub-matrix of the same embedded operator.
 """
 
 from __future__ import annotations
@@ -47,10 +49,6 @@ class HoBasis:
         if self.embed_dim < self.dim:
             raise ConfigError(f"embed_dim {self.embed_dim} < dim {self.dim}")
 
-    @property
-    def basis_tag(self) -> str:
-        return f"ho[theta0={self.theta0:.6g}, dim={self.dim}]"
-
 
 def length_scale(spec: CircuitSpec, which: LengthScale) -> float:
     """theta0 for the LC frequency or the plasma frequency of a circuit."""
@@ -74,22 +72,36 @@ def ho_operators(basis: HoBasis) -> tuple[OperatorMatrix, OperatorMatrix]:
     off = _ladder_offdiag(basis.dim)
     theta = np.diag(basis.theta0 * off, 1) + np.diag(basis.theta0 * off, -1)
     n = np.diag(-1j * off / basis.theta0, 1) + np.diag(1j * off / basis.theta0, -1)
-    tag = basis.basis_tag
-    return OperatorMatrix(theta, tag), OperatorMatrix(n, tag)
+    return OperatorMatrix(theta), OperatorMatrix(n)
+
+
+def _pentadiagonal(diag: np.ndarray, off2: np.ndarray) -> np.ndarray:
+    """Symmetric matrix with diag on the diagonal and off2 on the +-2 bands."""
+    d = diag.shape[0]
+    h = np.zeros((d, d))
+    i = np.arange(d - 2)
+    h[i, i + 2] = h[i + 2, i] = off2
+    np.fill_diagonal(h, diag)
+    return h
 
 
 def quadratic_operators(basis: HoBasis) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """(theta^2, N^2) as sub-matrices of the exact infinite-basis operators.
+    """(theta^2, N^2) with the exact infinite-basis elements, truncated to dim.
 
-    Squaring the tridiagonal operators two sizes up and truncating gives the
-    analytic pentadiagonal elements without edge corruption.
+    In the number basis, with s_m = sqrt((m + 1)(m + 2)) / 2,
+
+        theta^2 = theta0^2 [(m + 1/2) on the diagonal, s_m on the +-2 bands]
+        N^2     = [(m + 1/2), -s_m] / theta0^2,
+
+    so no edge corruption from squaring a truncated ladder operator arises.
     """
-    big = HoBasis(basis.theta0, basis.dim + 2, max(basis.embed_dim, basis.dim + 2))
-    theta, n = ho_operators(big)
-    d = basis.dim
-    theta2 = (theta.entries @ theta.entries)[:d, :d].real
-    n2 = (n.entries @ n.entries)[:d, :d].real
-    return OperatorMatrix(theta2, basis.basis_tag), OperatorMatrix(n2, basis.basis_tag)
+    m = np.arange(basis.dim, dtype=float)
+    diag = m + 0.5
+    s = 0.5 * np.sqrt((m[:-2] + 1.0) * (m[:-2] + 2.0))
+    t2 = basis.theta0 * basis.theta0
+    theta2 = _pentadiagonal(t2 * diag, t2 * s)
+    n2 = _pentadiagonal(diag / t2, -s / t2)
+    return OperatorMatrix(theta2), OperatorMatrix(n2)
 
 
 @lru_cache(maxsize=16)
@@ -111,4 +123,4 @@ def _embedded_cos(theta0: float, embed_dim: int, A: float) -> np.ndarray:
 def cos_in_ho(basis: HoBasis, A: float) -> OperatorMatrix:
     """cos(theta + 2*pi*A), built in embed_dim states and truncated to dim."""
     c = _embedded_cos(basis.theta0, basis.embed_dim, A)[: basis.dim, : basis.dim]
-    return OperatorMatrix(c, basis.basis_tag)
+    return OperatorMatrix(c)

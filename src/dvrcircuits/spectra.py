@@ -188,20 +188,7 @@ def concrete_dvr_basis(rep: DvrRep, dim: int) -> DvrBasis:
 def _assemble_dvr(spec: CircuitSpec, rep: DvrRep, dim: int) -> OperatorMatrix:
     basis = concrete_dvr_basis(rep, dim)
     h = sum(term.coefficient * _dvr_term(basis, term) for term in terms(spec))
-    return OperatorMatrix(h, basis.basis_tag)
-
-
-@lru_cache(maxsize=8)
-def _ho_embedded_hamiltonian(spec: CircuitSpec, scale: LengthScale, embed_dim: int) -> np.ndarray:
-    """Full embedded Hamiltonian whose leading blocks give every smaller size."""
-    theta0 = length_scale(spec, scale)
-    basis = HoBasis(theta0, embed_dim, embed_dim)
-    theta2, n2 = quadratic_operators(basis)
-    h = 4.0 * spec.E_C * n2.entries + 0.5 * spec.E_L * theta2.entries
-    if spec.family is Family.FLUXONIUM:
-        h = h - spec.E_J * cos_in_ho(basis, spec.A).entries
-    h.flags.writeable = False
-    return h
+    return OperatorMatrix(h)
 
 
 def _assemble_ho(spec: CircuitSpec, rep: HoRep, dim: int) -> OperatorMatrix:
@@ -209,10 +196,12 @@ def _assemble_ho(spec: CircuitSpec, rep: HoRep, dim: int) -> OperatorMatrix:
         raise IncompatibleRepresentationError("harmonic-oscillator transmon is unsupported")
     if dim > rep.embed_dim:
         raise ConfigError(f"matrix dimension {dim} exceeds the HO embedding size {rep.embed_dim}")
-    h = _ho_embedded_hamiltonian(spec, rep.scale, rep.embed_dim)
-    theta0 = length_scale(spec, rep.scale)
-    tag = f"ho[theta0={theta0:.6g}, dim={dim}]"
-    return OperatorMatrix(np.array(h[:dim, :dim]), tag)
+    basis = HoBasis(length_scale(spec, rep.scale), dim, rep.embed_dim)
+    theta2, n2 = quadratic_operators(basis)
+    h = 4.0 * spec.E_C * n2.entries + 0.5 * spec.E_L * theta2.entries
+    if spec.family is Family.FLUXONIUM:
+        h = h - spec.E_J * cos_in_ho(basis, spec.A).entries
+    return OperatorMatrix(h)
 
 
 def _assemble_fd(spec: CircuitSpec, rep: FdRep, dim: int) -> OperatorMatrix:
@@ -261,10 +250,11 @@ def nested_start(rep: Representation, top: int, dim: int) -> int | None:
 
     Traditional DVRs and bounded finite differences on a fixed grid have
     elements that depend only on alpha - beta and on the grid point, so every
-    size is the centred block; the HO basis truncates one embedded operator,
-    so every size is the leading block.  Truncated DVRs, the 2*pi/d grids and
-    periodic wrap-around change every element with the size: None.  A size
-    that :func:`assemble` would reject raises ConfigError here too.
+    size is the centred block; HO elements depend only on the number indices
+    and the cosine truncates one embedded operator, so every size is the
+    leading block.  Truncated DVRs, the 2*pi/d grids and periodic wrap-around
+    change every element with the size: None.  A size that :func:`assemble`
+    would reject raises ConfigError here too.
     """
     if isinstance(rep, HoRep):
         return 0
@@ -356,7 +346,8 @@ def eigenvalues(spec: CircuitSpec, rep: Representation, dim: int, upto: int) -> 
 
 @lru_cache(maxsize=32)
 def _fluxonium_reference(spec: CircuitSpec, embed_dim: int) -> np.ndarray:
-    h = _ho_embedded_hamiltonian(spec, LengthScale.LC, embed_dim)
+    """Every eigenvalue of the LC-scale HO representation at its embedding size."""
+    h = assemble(spec, HoRep(LengthScale.LC, embed_dim), embed_dim).entries
     energies = scipy.linalg.eigvalsh(_solver_matrix(h))
     energies.flags.writeable = False
     return energies

@@ -22,14 +22,13 @@ from .spectra import DvrRep, Representation, Spectrum, assemble, eigensolve
 @dataclass(frozen=True)
 class StateVector:
     coefficients: np.ndarray
-    basis_tag: str = ""
 
     @classmethod
-    def from_eigenvector(cls, spectrum: Spectrum, level: int, basis_tag: str = "") -> "StateVector":
+    def from_eigenvector(cls, spectrum: Spectrum, level: int) -> "StateVector":
         vec = np.asarray(spectrum.eigvectors[:, level])
         if abs(np.linalg.norm(vec) - 1.0) > 1e-12:
             raise ConfigError("eigenvector is not unit-norm")
-        return cls(vec, basis_tag)
+        return cls(vec)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coefficients))
@@ -77,7 +76,7 @@ def shift_operator(basis: DvrBasis, shift: ShiftSpec) -> OperatorMatrix:
     if not basis.kind.is_phase:
         raise ConfigError("phase shifts require a phase-kind DVR")
     step = _index_step(basis.dim, shift.direction, basis.kind.is_truncated)
-    return OperatorMatrix(np.linalg.matrix_power(step, shift.beta), basis.basis_tag)
+    return OperatorMatrix(np.linalg.matrix_power(step, shift.beta))
 
 
 def apply_shift(state: StateVector, basis: DvrBasis, shift: ShiftSpec) -> tuple[StateVector, float]:
@@ -103,7 +102,7 @@ def apply_shift(state: StateVector, basis: DvrBasis, shift: ShiftSpec) -> tuple[
         else:
             if -k < c.shape[0]:
                 shifted[-k:] = c[:k]
-    new = StateVector(shifted, state.basis_tag)
+    new = StateVector(shifted)
     return new, new.norm()
 
 
@@ -149,9 +148,7 @@ def flux_sweep(
         raise ConfigError("flux sweeps require a phase DVR")
     if a_values is None:
         a_values = np.linspace(0.0, 1.0, 101)
-    ground = StateVector.from_eigenvector(
-        eigensolve(assemble(spec, rep, dim), 1), 0, basis.basis_tag
-    )
+    ground = StateVector.from_eigenvector(eigensolve(assemble(spec, rep, dim), 1), 0)
     shifted = {}
     for beta in betas:
         state, _ = apply_shift(ground, basis, ShiftSpec(beta, direction))
@@ -162,7 +159,7 @@ def flux_sweep(
         h_a = assemble(spec_a, rep, dim)
         current_a = sine_in_phase(basis, float(a))
         if rediagonalize:
-            base = StateVector.from_eigenvector(eigensolve(h_a, 1), 0, basis.basis_tag)
+            base = StateVector.from_eigenvector(eigensolve(h_a, 1), 0)
         for beta in betas:
             if rediagonalize:
                 state, _ = apply_shift(base, basis, ShiftSpec(beta, direction))

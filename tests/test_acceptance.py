@@ -36,7 +36,6 @@ from dvrcircuits.dvr import (
     Spacing,
     conj_moment_traditional,
     conj_moment_truncated,
-    conj_moment_truncated_direct,
 )
 from dvrcircuits.presets import (
     CHARGE_LIMIT,
@@ -55,6 +54,7 @@ from dvrcircuits.spectra import DvrRep, HoRep, assemble, eigensolve
 from dvrcircuits.ho import HoBasis, LengthScale, cos_in_ho
 from dvrcircuits.states import ShiftSpec, StateVector, apply_shift, decompose, shift_operator
 from dvrcircuits.fdm import fd_coefficients
+from oracles import conj_moment_truncated_direct
 
 LC_THRESHOLD = 1e-6 / energy_scale(LC_CIRCUIT)
 

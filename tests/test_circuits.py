@@ -26,6 +26,12 @@ def test_energies_must_be_positive():
         CircuitSpec.transmon(0.2, 0.0, 0.5)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), "0.5", True])
+def test_offset_charge_must_be_a_finite_real_number(value):
+    with pytest.raises(ConfigError):
+        CircuitSpec.transmon(0.2, 10.0, value)
+
+
 def test_lc_terms():
     got = terms(CircuitSpec.lc(1.0, 2.0))
     assert got == [

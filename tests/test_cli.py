@@ -290,6 +290,45 @@ def test_malformed_config_value_exits_2(tmp_path, field, value):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+@pytest.mark.parametrize("field", ["pi", "shift_rediagonalize"])
+def test_booleans_must_be_json_booleans(tmp_path, field, value):
+    doc = json.loads(json.dumps(LC_CONFIG))
+    if field == "pi":
+        doc["representations"][0]["spacing"]["pi"] = value
+    else:
+        doc[field] = value
+    cfg = _write_config(tmp_path, doc)
+    assert main(["metrics", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert not (tmp_path / "x").exists()
+
+
+FLUXONIUM_CONFIG = {
+    "circuit": FLUXONIUM_CIRCUIT.to_dict(),
+    "representations": [
+        {"type": "dvr", "kind": "traditional_phase", "spacing": {"num": 1, "den": 8, "pi": True}},
+    ],
+    "sizes": {"largest": 21},
+}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("A", "0.5"),
+        ("A", float("nan")),
+        ("A", True),
+        ("E_L", float("inf")),
+    ],
+)
+@pytest.mark.parametrize("command", ["metrics", "shift"])
+def test_circuit_parameters_must_be_finite_real_numbers(tmp_path, command, field, value):
+    doc = dict(FLUXONIUM_CONFIG, circuit=dict(FLUXONIUM_CONFIG["circuit"], **{field: value}))
+    cfg = _write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert not (tmp_path / "x").exists()
+
+
 def test_threads_flag_is_validated_and_changes_nothing(tmp_path):
     cfg = _write_config(tmp_path, LC_CONFIG)
     assert main(["metrics", "--config", cfg, "--out", str(tmp_path / "x"), "--threads", "0"]) == 2

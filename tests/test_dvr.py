@@ -12,7 +12,6 @@ from dvrcircuits.dvr import (
     conj_function_truncated,
     conj_moment_traditional,
     conj_moment_truncated,
-    conj_moment_truncated_direct,
     cosine_in_charge,
     diag_of_discretized,
     dvr_selfcheck,
@@ -20,6 +19,7 @@ from dvrcircuits.dvr import (
     sine_in_phase,
 )
 from dvrcircuits.errors import ConfigError
+from oracles import conj_moment_truncated_direct
 
 ALL_KINDS = list(DvrKind)
 TRUNCATED = [DvrKind.TRUNCATED_PHASE, DvrKind.TRUNCATED_CHARGE]

@@ -71,6 +71,20 @@ def test_quadratic_operators_free_of_edge_corruption():
     assert np.allclose(n2.entries, (big_n.entries @ big_n.entries)[:6, :6].real)
 
 
+@pytest.mark.parametrize("scale", list(LengthScale))
+@pytest.mark.parametrize("dim", [3, 31, 301, 1001])
+def test_quadratic_operators_match_long_double_closed_form(scale, dim):
+    theta0 = length_scale(FLUXONIUM, scale)
+    theta2, n2 = quadratic_operators(HoBasis(theta0, dim, 1001))
+    m = np.arange(dim, dtype=np.longdouble)
+    t2 = np.longdouble(theta0) ** 2
+    s = np.sqrt((m[:-2] + 1) * (m[:-2] + 2)) / 2
+    for got, diag, off in ((theta2, t2 * (m + 0.5), t2 * s), (n2, (m + 0.5) / t2, -s / t2)):
+        want = np.diag(diag) + np.diag(off, 2) + np.diag(off, -2)
+        assert got.entries.dtype == np.float64
+        assert np.abs(got.entries - want).max() <= np.finfo(float).eps * np.abs(want).max()
+
+
 def test_cos_dim1_analytic_oracle():
     # <0| cos(theta) |0> = exp(-theta0^2 / 4), the Gaussian characteristic
     # function of the oscillator ground state.

@@ -18,7 +18,6 @@ from dvrcircuits.spectra import (
     FdRep,
     HoRep,
     _fluxonium_reference,
-    _ho_embedded_hamiltonian,
     _solver_matrix,
     _transmon_reference,
     assemble,
@@ -295,9 +294,14 @@ def test_fluxonium_reference_convergence_guard():
         assert abs(big - small) < 1e-9
 
 
+def test_fluxonium_reference_is_the_ho_representation_at_its_embedding():
+    want = scipy.linalg.eigvalsh(assemble(FLUXONIUM, HoRep(LengthScale.LC), 1001).entries)
+    got = [reference_energy(FLUXONIUM, n) for n in range(1001)]
+    assert np.array_equal(got, want)
+
+
 def test_cached_arrays_are_read_only():
     for cached in (
-        lambda: _ho_embedded_hamiltonian(FLUXONIUM, LengthScale.LC, 1001),
         lambda: _fluxonium_reference(FLUXONIUM, 1001),
         lambda: _transmon_reference(TRANSMON, 401),
     ):
