@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -34,7 +35,7 @@ from .convergence import (
     sweep_levels,
 )
 from .dvr import DvrKind, Spacing
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, json_int
 from .fdm import Boundary
 from .ho import LengthScale
 from .presets import (
@@ -90,17 +91,23 @@ def rep_from_dict(data: dict) -> Representation:
                 None if spacing is None else Spacing.from_dict(spacing),
             )
         if kind == "ho":
-            return HoRep(LengthScale(data["scale"]), int(data.get("embed_dim", 1001)))
+            return HoRep(LengthScale(data["scale"]), json_int(data.get("embed_dim", 1001), "embed_dim"))
         if kind == "fd":
             spacing = data.get("spacing")
             if isinstance(spacing, dict):
                 spacing = Spacing.from_dict(spacing).value
+            elif spacing is not None:
+                if isinstance(spacing, bool) or not isinstance(spacing, (int, float)):
+                    raise ConfigError(f"fd spacing must be a number, got {spacing!r}")
+                spacing = float(spacing)
+                if not 0.0 < spacing < math.inf:
+                    raise ConfigError(f"fd spacing must be finite and positive, got {spacing!r}")
             return FdRep(
-                None if spacing is None else float(spacing),
-                int(data.get("order_M", 1)),
+                spacing,
+                json_int(data.get("order_M", 1), "order_M"),
                 Boundary(data.get("boundary", "bounded")),
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad representation descriptor {data!r}: {exc}") from exc
     raise ConfigError(f"unknown representation type {kind!r}")
 
@@ -151,12 +158,12 @@ class RunConfig:
 
 def _parse_sizes(raw) -> tuple[int, ...]:
     if isinstance(raw, dict):
-        stride = int(raw.get("stride", 1))
+        stride = json_int(raw.get("stride", 1), "size stride")
         if stride < 1:
             raise ConfigError(f"size stride must be >= 1, got {stride}")
-        return default_sizes(int(raw.get("largest", 301)), stride)
+        return default_sizes(json_int(raw.get("largest", 301), "largest size"), stride)
     if isinstance(raw, list):
-        return tuple(int(s) for s in raw)
+        return tuple(json_int(s, "size") for s in raw)
     raise ConfigError(f"sizes must be a list or a range spec, got {raw!r}")
 
 
@@ -177,12 +184,12 @@ def config_from_dict(data: dict) -> RunConfig:
             circuit=CircuitSpec.from_dict(data["circuit"]),
             representations=tuple(rep_from_dict(r) for r in data["representations"]),
             sizes=_parse_sizes(data["sizes"]),
-            levels=tuple(int(n) for n in data.get("levels", [0])),
+            levels=tuple(json_int(n, "level") for n in data.get("levels", [0])),
             threshold_GHz=float(data.get("threshold_GHz", DEFAULT_THRESHOLD_GHZ)),
             scale=Scale(data.get("scale", "absolute")),
             decompose_floor=float(data.get("decompose_floor", 1e-20)),
-            shift_betas=tuple(int(b) for b in data.get("shift_betas", [0, 1, 2])),
-            shift_direction=int(data.get("shift_direction", 1)),
+            shift_betas=tuple(json_int(b, "shift beta") for b in data.get("shift_betas", [0, 1, 2])),
+            shift_direction=json_int(data.get("shift_direction", 1), "shift_direction"),
             shift_rediagonalize=data.get("shift_rediagonalize", False),
         )
     except (KeyError, TypeError, ValueError) as exc:

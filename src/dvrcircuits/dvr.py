@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigError
+from .errors import ConfigError, json_int
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,12 @@ class Spacing:
     def __post_init__(self):
         if self.num <= 0 or self.den <= 0:
             raise ConfigError(f"spacing must be positive, got {self.num}/{self.den}")
+        try:
+            value = self.value
+        except OverflowError:
+            value = math.inf
+        if not 0.0 < value < math.inf:
+            raise ConfigError(f"spacing {self.num}/{self.den} is not a positive double")
 
     @classmethod
     def of(cls, r, pi: bool = False) -> "Spacing":
@@ -58,8 +64,8 @@ class Spacing:
     @classmethod
     def from_dict(cls, data: dict) -> "Spacing":
         try:
-            num, den, pi = int(data["num"]), int(data["den"]), data.get("pi", False)
-        except (KeyError, TypeError, ValueError) as exc:
+            num, den, pi = json_int(data["num"], "num"), json_int(data["den"], "den"), data.get("pi", False)
+        except (KeyError, TypeError) as exc:
             raise ConfigError(f"bad spacing descriptor {data!r}") from exc
         if not isinstance(pi, bool):
             raise ConfigError(f"spacing 'pi' must be true or false, got {pi!r}")
@@ -124,7 +130,7 @@ class DvrBasis:
     @classmethod
     def from_dict(cls, data: dict) -> "DvrBasis":
         try:
-            return cls(DvrKind(data["kind"]), Spacing.from_dict(data["spacing"]), int(data["M"]))
+            return cls(DvrKind(data["kind"]), Spacing.from_dict(data["spacing"]), json_int(data["M"], "M"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad basis descriptor {data!r}") from exc
 
@@ -159,10 +165,19 @@ def diag_of_discretized(basis: DvrBasis, f: Callable[[np.ndarray], np.ndarray]) 
     return OperatorMatrix(np.diag(values))
 
 
-def _index_parity(M: int) -> np.ndarray:
-    """(-1)^(alpha+beta) over the index grid (same parity as alpha-beta)."""
-    idx = np.arange(-M, M + 1)
-    return np.where((idx[:, None] - idx[None, :]) % 2 == 0, 1.0, -1.0)
+def traditional_moment_elements(basis: DvrBasis, power: int, diff: np.ndarray) -> np.ndarray:
+    """Closed-form infinite-grid element of the first or second conjugate moment
+    of a traditional DVR, as a function of the index difference alpha - beta."""
+    s = basis.spacing_value
+    parity = np.where(diff % 2 == 0, 1.0, -1.0)
+    safe = np.where(diff == 0, 1, diff)
+    if power == 1:
+        sign = 1.0 if basis.kind.is_phase else -1.0
+        off = sign * 1j * parity / (s * safe)
+        return np.where(diff == 0, 0.0 + 0.0j, off)
+    off = 2.0 * parity / (s * s * safe * safe)
+    diag = basis.conjugate_bound ** 2 / 3.0
+    return np.where(diff == 0, diag, off).astype(complex)
 
 
 def conj_moment_traditional(basis: DvrBasis, power: int) -> OperatorMatrix:
@@ -177,20 +192,8 @@ def conj_moment_traditional(basis: DvrBasis, power: int) -> OperatorMatrix:
         raise ConfigError("conj_moment_traditional requires a traditional kind")
     if power not in (1, 2):
         raise ConfigError(f"power must be 1 or 2, got {power}")
-    M, s = basis.M, basis.spacing_value
-    idx = np.arange(-M, M + 1)
-    diff = idx[:, None] - idx[None, :]
-    parity = _index_parity(M)
-    safe = np.where(diff == 0, 1, diff)
-    if power == 1:
-        sign = 1.0 if basis.kind.is_phase else -1.0
-        off = sign * 1j * parity / (s * safe)
-        entries = np.where(diff == 0, 0.0 + 0.0j, off)
-    else:
-        off = 2.0 * parity / (s * s * safe * safe)
-        diag = basis.conjugate_bound ** 2 / 3.0
-        entries = np.where(diff == 0, diag, off).astype(complex)
-    return OperatorMatrix(entries)
+    idx = np.arange(-basis.M, basis.M + 1)
+    return OperatorMatrix(traditional_moment_elements(basis, power, idx[:, None] - idx[None, :]))
 
 
 def conj_function_truncated(basis: DvrBasis, g: Callable[[np.ndarray], np.ndarray]) -> OperatorMatrix:
@@ -201,6 +204,12 @@ def conj_function_truncated(basis: DvrBasis, g: Callable[[np.ndarray], np.ndarra
     is F^dag diag(g(y_n)) F with y_n = n * conjugate_spacing.  The result is
     circulant; only its first column is computed, by one FFT of length d.
     """
+    return OperatorMatrix(scipy.linalg.circulant(truncated_column(basis, g)))
+
+
+def truncated_column(basis: DvrBasis, g: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """First column of the circulant :func:`conj_function_truncated`, indexed by
+    (alpha - beta) mod d."""
     if not basis.kind.is_truncated:
         raise ConfigError("conj_function_truncated requires a truncated kind")
     M, d = basis.M, basis.dim
@@ -216,8 +225,7 @@ def conj_function_truncated(basis: DvrBasis, g: Callable[[np.ndarray], np.ndarra
     col = np.fft.fft(wrapped) / d if basis.kind.is_phase else np.fft.ifft(wrapped)
     # col[k] and conj(col[d-k]) are computed independently and can differ by a
     # rounding ulp; average so the analytically Hermitian result is exactly so.
-    col = 0.5 * (col + np.roll(col[::-1], 1).conj())
-    return OperatorMatrix(scipy.linalg.circulant(col))
+    return 0.5 * (col + np.roll(col[::-1], 1).conj())
 
 
 def conj_moment_truncated(basis: DvrBasis, power: int) -> OperatorMatrix:
@@ -227,13 +235,9 @@ def conj_moment_truncated(basis: DvrBasis, power: int) -> OperatorMatrix:
     return conj_function_truncated(basis, lambda y: y ** power)
 
 
-def cosine_in_charge(basis: DvrBasis, A: float, sign: int = +1) -> OperatorMatrix:
-    """cos(theta +/- 2*pi*A) in a charge DVR with integer 1/dN.
-
-    The operator tunnels between grid points 1/dN apart, giving two bands of
-    constant entries; the matrix is identical for the traditional and
-    truncated charge kinds.
-    """
+def cosine_band(basis: DvrBasis, A: float, sign: int = +1) -> tuple[int, complex]:
+    """(k, u): cos(theta +/- 2*pi*A) in a charge DVR with integer k = 1/dN is u
+    at (alpha, alpha + k) and conj(u) at (alpha + k, alpha)."""
     if basis.kind.is_phase:
         raise ConfigError("cosine_in_charge requires a charge kind")
     if sign not in (+1, -1):
@@ -244,11 +248,20 @@ def cosine_in_charge(basis: DvrBasis, A: float, sign: int = +1) -> OperatorMatri
             f"cosine in a charge DVR needs integer 1/dN; got dN = {frac}"
             + (" * pi" if basis.spacing.pi else "")
         )
-    k = frac.denominator
+    return frac.denominator, 0.5 * np.exp(sign * 2j * np.pi * A)
+
+
+def cosine_in_charge(basis: DvrBasis, A: float, sign: int = +1) -> OperatorMatrix:
+    """cos(theta +/- 2*pi*A) in a charge DVR with integer 1/dN.
+
+    The operator tunnels between grid points 1/dN apart, giving two bands of
+    constant entries; the matrix is identical for the traditional and
+    truncated charge kinds.
+    """
+    k, upper = cosine_band(basis, A, sign)
     d = basis.dim
     # For d <= k both bands fall outside the matrix and the tunneling term
     # contributes nothing (the index ranges below are empty).
-    upper = 0.5 * np.exp(sign * 2j * np.pi * A)  # alpha = beta - k
     entries = np.zeros((d, d), dtype=complex)
     rows = np.arange(d - k)
     entries[rows, rows + k] = upper

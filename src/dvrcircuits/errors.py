@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types and the check of integer config values."""
 
 
 class ConfigError(ValueError):
@@ -11,3 +11,10 @@ class IncompatibleRepresentationError(ConfigError):
 
 class NumericalError(RuntimeError):
     """A numerical routine failed or received an invalid matrix."""
+
+
+def json_int(value, name: str) -> int:
+    """value if it is a JSON integer (not a bool, not a float), else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value

@@ -32,8 +32,8 @@ class FdGrid:
     boundary: Boundary = Boundary.BOUNDED
 
     def __post_init__(self):
-        if not self.spacing > 0:
-            raise ConfigError(f"spacing must be positive, got {self.spacing}")
+        if not 0.0 < self.spacing < math.inf:
+            raise ConfigError(f"spacing must be finite and positive, got {self.spacing}")
         if self.half_points < 1:
             raise ConfigError(f"half_points must be >= 1, got {self.half_points}")
         if self.order_M < 1:
@@ -120,5 +120,12 @@ def fd_hamiltonian(spec: CircuitSpec, grid: FdGrid) -> OperatorMatrix:
     """Hamiltonian -4 E_C D2 / spacing^2 + diag(V) on the phase grid."""
     d2 = second_derivative_matrix(grid)
     theta = grid.points()
-    h = -4.0 * spec.E_C / grid.spacing ** 2 * d2 + np.diag(_potential(spec, theta))
+    try:
+        kinetic = -4.0 * spec.E_C / grid.spacing ** 2
+    except (OverflowError, ZeroDivisionError):
+        kinetic = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = kinetic * d2 + np.diag(_potential(spec, theta))
+    if not np.isfinite(h).all():
+        raise ConfigError(f"the Hamiltonian on a grid of spacing {grid.spacing!r} is not finite")
     return OperatorMatrix(h)

@@ -5,7 +5,10 @@ oscillator, finite differences) together with its grid; :func:`assemble`
 instantiates it at a concrete matrix size and builds the circuit Hamiltonian.
 :func:`eigenvalues_by_size` serves a sweep over matrix sizes: where every size
 is a block of the largest (:func:`nested_start`) it assembles once and slices,
-and a narrow-banded matrix is solved on its bands.
+and a narrow-banded matrix is solved on its bands.  A dense Hamiltonian that
+commutes with the parity theta -> -theta (:func:`splits_by_parity`, decided
+from the circuit) is solved as an even and an odd block of half the size,
+built on the half grid.
 Reference energies come from a closed form (LC), a large harmonic-oscillator
 diagonalization (fluxonium), or a converged charge-basis oracle (transmon).
 """
@@ -29,8 +32,11 @@ from .dvr import (
     conj_function_truncated,
     conj_moment_traditional,
     conj_moment_truncated,
+    cosine_band,
     cosine_in_charge,
     diag_of_discretized,
+    traditional_moment_elements,
+    truncated_column,
 )
 from .errors import ConfigError, IncompatibleRepresentationError, NumericalError
 from .fdm import Boundary, FdGrid, fd_hamiltonian
@@ -319,6 +325,97 @@ def _block_solver(h: np.ndarray) -> Callable[[int, int, int], np.ndarray]:
     return banded
 
 
+def parity_even(spec: CircuitSpec) -> bool:
+    """Whether H commutes with the parity theta -> -theta, decided from the
+    circuit's parameters alone: always for the LC circuit, for the fluxonium
+    iff 2A is an integer (cos(theta + 2*pi*A) = +-cos(theta)), for the transmon
+    iff N_g = 0."""
+    if spec.family is Family.LC:
+        return True
+    if spec.family is Family.FLUXONIUM:
+        return float(2 * spec.A).is_integer()
+    return spec.N_g == 0
+
+
+def splits_by_parity(spec: CircuitSpec, rep: Representation) -> bool:
+    """Whether a sweep solves H as an even and an odd block: a parity-even
+    circuit in a representation whose H is dense by construction.
+
+    Every grid here is centred on 0 and HO states have parity (-1)^m, so the
+    representations keep the symmetry.  A sinc DVR is dense through its
+    conjugate operator, except a charge grid for the transmon (no theta^2:
+    tridiagonal); the HO basis is dense through the fluxonium's cosine and
+    pentadiagonal without it; finite differences are banded.  Banded
+    matrices keep their band solver, which the split measured slower.
+    """
+    if not parity_even(spec):
+        return False
+    if isinstance(rep, DvrRep):
+        return rep.kind.is_phase or spec.family is not Family.TRANSMON
+    return isinstance(rep, HoRep) and spec.family is Family.FLUXONIUM
+
+
+def _dvr_half_term(basis: DvrBasis, term: HamiltonianTerm) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """One term of a parity-even DVR Hamiltonian on the half grid alpha >= 0:
+    (diagonal at alpha = 0..M, None) for a function of the grid variable, or
+    (None, column c) for an operator whose element is c[|alpha - beta|] (the
+    truncated kinds: c[(alpha - beta) mod d], with c[n] = c[d - n])."""
+    kind = term.kind
+    on_grid = basis.kind.is_phase == (kind in (OperatorKind.THETA_SQUARED, OperatorKind.COS_THETA))
+    if on_grid:
+        x = np.arange(basis.M + 1) * basis.spacing_value
+        if kind is OperatorKind.COS_THETA:
+            return np.cos(x + term.sign * 2.0 * np.pi * term.flux), None
+        return np.square(x - term.offset), None
+    n = np.arange(2 * basis.M + 1)
+    if kind is OperatorKind.COS_THETA:
+        k, upper = cosine_band(basis, term.flux, term.sign)
+        return None, np.where(n == k, upper.real, 0.0)
+    # theta^2 in a charge grid, N^2 or (N - N_g)^2 with N_g = 0 in a phase grid
+    if basis.kind.is_truncated:
+        return None, truncated_column(basis, lambda y: (y - term.offset) ** 2).real
+    return None, traditional_moment_elements(basis, 2, n).real
+
+
+def _dvr_parity_blocks(spec: CircuitSpec, rep: DvrRep, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd blocks of a parity-even DVR Hamiltonian, built on the half grid.
+
+    Row k of the even block is e_0 (k = 0) or (e_k + e_-k)/sqrt(2), row k of
+    the odd block (e_k - e_-k)/sqrt(2), k >= 1: rows ordered by distance from
+    the centre.  With H = diag(V) + c[|alpha - beta|] the blocks are
+    c[|j - k|] +- c[j + k] (Toeplitz +- Hankel) plus V on the diagonal, the
+    even block's row and column 0 scaled by 1/sqrt(2).
+    """
+    basis = concrete_dvr_basis(rep, dim)
+    diag, col = np.zeros(basis.M + 1), np.zeros(dim)
+    for term in terms(spec):
+        values, column = _dvr_half_term(basis, term)
+        if values is not None:
+            diag += term.coefficient * values
+        else:
+            col += term.coefficient * column
+    i = np.arange(basis.M + 1)
+    toeplitz, hankel = col[np.abs(i[:, None] - i)], col[i[:, None] + i]
+    scale = np.ones(basis.M + 1)
+    scale[0] = math.sqrt(0.5)
+    even = scale[:, None] * (toeplitz + hankel) * scale
+    odd = (toeplitz - hankel)[1:, 1:]
+    even[i, i] += diag
+    odd[i[:-1], i[:-1]] += diag[1:]
+    return even, odd
+
+
+def _parity_blocks(spec: CircuitSpec, rep: Representation, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(even, odd) blocks of H(dim), of sizes (dim + 1) // 2 and dim // 2; for
+    a nested representation the blocks of H(d) lead those of H(dim)."""
+    if isinstance(rep, DvrRep):
+        check_compatible(spec, rep)
+        return _dvr_parity_blocks(spec, rep, dim)
+    h = assemble(spec, rep, dim).entries
+    # the embedded cosine's off-parity entries are roundoff (up to 6e-14)
+    return np.ascontiguousarray(h[0::2, 0::2]), np.ascontiguousarray(h[1::2, 1::2])
+
+
 def eigenvalues_by_size(
     spec: CircuitSpec, rep: Representation, sizes: tuple[int, ...], upto: int
 ) -> list[np.ndarray]:
@@ -326,17 +423,31 @@ def eigenvalues_by_size(
 
     A nested representation is assembled and gated once, at the largest size,
     and every size is solved on its block; any other is assembled per size.
+    Where :func:`splits_by_parity` holds, the same is done with the even and
+    odd blocks, and each size merges the lowest values of its two blocks.
     """
     if not sizes:
         raise ConfigError("empty size list")
     top = max(sizes)
-    if nested_start(rep, top, top) is None:
-        return [
-            _block_solver(_solver_matrix(assemble(spec, rep, d).entries))(0, d, min(upto, d - 1))
-            for d in sizes
-        ]
-    solve = _block_solver(_solver_matrix(assemble(spec, rep, top).entries))
-    return [solve(nested_start(rep, top, d), d, min(upto, d - 1)) for d in sizes]
+    split = splits_by_parity(spec, rep)
+
+    def solvers(d: int) -> list[Callable[[int, int, int], np.ndarray]]:
+        blocks = _parity_blocks(spec, rep, d) if split else (assemble(spec, rep, d).entries,)
+        return [_block_solver(_solver_matrix(b)) for b in blocks]
+
+    nested = nested_start(rep, top, top) is not None
+    shared = solvers(top) if nested else None
+    out = []
+    for d in sizes:
+        start = nested_start(rep, top, d) if nested else 0
+        solve = shared if nested else solvers(d)
+        k = min(upto, d - 1)
+        if split:  # the blocks of H(d) lead those of H(top)
+            parts = [block(0, n, min(k, n - 1)) for block, n in zip(solve, ((d + 1) // 2, d // 2)) if n]
+            out.append(np.sort(np.concatenate(parts))[: k + 1])
+        else:
+            out.append(solve[0](start, d, k))
+    return out
 
 
 def eigenvalues(spec: CircuitSpec, rep: Representation, dim: int, upto: int) -> np.ndarray:

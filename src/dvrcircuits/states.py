@@ -25,10 +25,8 @@ class StateVector:
 
     @classmethod
     def from_eigenvector(cls, spectrum: Spectrum, level: int) -> "StateVector":
-        vec = np.asarray(spectrum.eigvectors[:, level])
-        if abs(np.linalg.norm(vec) - 1.0) > 1e-12:
-            raise ConfigError("eigenvector is not unit-norm")
-        return cls(vec)
+        """The level-th eigenvector; Spectrum has already checked it is unit-norm."""
+        return cls(np.asarray(spectrum.eigvectors[:, level]))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coefficients))

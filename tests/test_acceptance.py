@@ -6,9 +6,10 @@ Criterion 8 concerns the sign of the asymptotic ground-state offset of the LC
 oscillator at dN = 1/4; a 50-digit oracle puts that offset at -4.8e-24 GHz,
 ten orders of magnitude below the double-precision saturation floor, so the
 sign it tests is eigensolver roundoff and the outcome depends on the platform.
-It even follows the BLAS thread count on one machine: on 2 cores with
-OpenBLAS's default two threads it passes with a final Delta_0 = -9.664e-14 GHz,
-and with OPENBLAS_NUM_THREADS=1 it fails with +7.953e-14 GHz (see the README).
+Solved as one 301 x 301 matrix it followed the BLAS thread count on one
+2-core machine (-9.664e-14 GHz with two OpenBLAS threads, +7.953e-14 GHz with
+one); solved as its two parity blocks, as sweeps now do, it gives
+-7.921e-14 GHz with either (see the README).
 """
 
 import math

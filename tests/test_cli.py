@@ -18,7 +18,7 @@ from dvrcircuits.cli import (
 )
 from dvrcircuits.circuits import CircuitSpec
 from dvrcircuits.convergence import Scale
-from dvrcircuits.dvr import DvrKind, Spacing
+from dvrcircuits.dvr import DvrBasis, DvrKind, Spacing
 from dvrcircuits.errors import ConfigError
 from dvrcircuits.fdm import Boundary
 from dvrcircuits.ho import LengthScale
@@ -301,6 +301,60 @@ def test_booleans_must_be_json_booleans(tmp_path, field, value):
     cfg = _write_config(tmp_path, doc)
     assert main(["metrics", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     assert not (tmp_path / "x").exists()
+
+
+def _set(doc, path, value):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+_FD_CONFIG = dict(LC_CONFIG, representations=[{"type": "fd", "spacing": 0.1, "order_M": 1}])
+_HO_CONFIG = dict(LC_CONFIG, representations=[{"type": "ho", "scale": "lc", "embed_dim": 101}])
+
+
+@pytest.mark.parametrize("value", [4.9, 4.0, True, "4"])
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        (LC_CONFIG, ("representations", 0, "spacing", "den")),
+        (LC_CONFIG, ("representations", 0, "spacing", "num")),
+        (LC_CONFIG, ("sizes", "largest")),
+        (dict(LC_CONFIG, sizes={"largest": 41, "stride": 1}), ("sizes", "stride")),
+        (dict(LC_CONFIG, sizes=[21, 31, 41, 51, 61]), ("sizes", 0)),
+        (dict(LC_CONFIG, levels=[0, 1]), ("levels", 1)),
+        (_HO_CONFIG, ("representations", 0, "embed_dim")),
+        (_FD_CONFIG, ("representations", 0, "order_M")),
+        (LC_CONFIG, ("shift_betas",)),
+        (LC_CONFIG, ("shift_direction",)),
+    ],
+    ids=["den", "num", "largest", "stride", "size", "level", "embed_dim", "order_M",
+         "shift_betas", "shift_direction"],
+)
+def test_integer_fields_must_be_json_integers(tmp_path, doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    _set(doc, path, [0, value] if path == ("shift_betas",) else value)
+    cfg = _write_config(tmp_path, doc)
+    assert main(["metrics", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert not (tmp_path / "x").exists()
+
+
+def test_dvr_basis_descriptor_needs_an_integer_M():
+    basis = {"kind": "traditional_phase", "spacing": {"num": 1, "den": 4, "pi": True}, "M": 3}
+    assert DvrBasis.from_dict(basis).M == 3
+    for bad in (3.0, 3.5, True, "3"):
+        with pytest.raises(ConfigError):
+            DvrBasis.from_dict(dict(basis, M=bad))
+
+
+@pytest.mark.parametrize("spacing", ["inf", "0.1", 1e300, 1e-200, float("inf"), float("nan"), 0, -0.1, True,
+                                     10 ** 400, {"num": 10 ** 400, "den": 1, "pi": True}])
+def test_fd_spacing_must_be_a_finite_positive_number(tmp_path, spacing):
+    doc = json.loads(json.dumps(_FD_CONFIG))
+    doc["representations"][0]["spacing"] = spacing
+    cfg = _write_config(tmp_path, doc)
+    assert main(["metrics", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
 
 FLUXONIUM_CONFIG = {

@@ -42,6 +42,10 @@ def test_spacing_exact_value():
         Spacing(0, 4)
     with pytest.raises(ConfigError):
         Spacing(1, -2)
+    # a spacing must be a positive double: no overflow, no underflow to 0
+    for num, den, pi in ((10 ** 400, 1, False), (10 ** 308, 1, True), (1, 10 ** 400, False)):
+        with pytest.raises(ConfigError):
+            Spacing(num, den, pi)
 
 
 def test_grid_points_charge():

@@ -17,7 +17,9 @@ from dvrcircuits.spectra import (
     DvrRep,
     FdRep,
     HoRep,
+    _block_solver,
     _fluxonium_reference,
+    _parity_blocks,
     _solver_matrix,
     _transmon_reference,
     assemble,
@@ -28,7 +30,9 @@ from dvrcircuits.spectra import (
     eigenvalues,
     eigenvalues_by_size,
     nested_start,
+    parity_even,
     reference_energy,
+    splits_by_parity,
 )
 
 LC = CircuitSpec.lc(1.0, 1.0)
@@ -132,8 +136,12 @@ def test_assembled_hamiltonians_hermitian():
 
 
 def test_fluxonium_phase_dvr_persymmetric_at_half_flux():
-    # At A = 1/2 the Hamiltonian commutes with parity; on a centered phase
-    # grid this shows as H[alpha, beta] = H[-alpha, -beta] exactly.
+    # At A = 1/2 the Hamiltonian commutes with parity, so a sweep solves it as
+    # an even and an odd block built on the half grid (spectra.splits_by_parity).
+    # On this grid at d = 21 the full matrix also has H[alpha, beta] =
+    # H[-alpha, -beta] exactly; on most grids and sizes theta + pi rounds (up
+    # to 2e-16 * max|H|), which is why the split is decided from the circuit
+    # and not from a floating-point test of H.
     for kind in (DvrKind.TRADITIONAL_PHASE, DvrKind.TRUNCATED_PHASE):
         h = assemble(FLUXONIUM, DvrRep(kind, Spacing(5, 32, pi=True)), 21).entries
         assert np.array_equal(h, h[::-1, ::-1].T)
@@ -209,6 +217,122 @@ def test_nested_start_rejects_sizes_assemble_rejects():
         nested_start(DvrRep(DvrKind.TRADITIONAL_PHASE, Spacing(1, 4, pi=True)), 21, 10)
     with pytest.raises(ConfigError, match="stencil"):
         nested_start(FdRep(0.1, 2, Boundary.BOUNDED), 21, 3)
+
+
+# ---------------------------------------------------------------------------
+# parity: parity-even dense Hamiltonians are solved as an even and an odd block
+
+_EPS = np.finfo(float).eps
+_parity_cases = st.one_of(
+    st.tuples(st.sampled_from([LC, FLUXONIUM]),
+              st.builds(DvrRep, st.sampled_from([DvrKind.TRADITIONAL_PHASE, DvrKind.TRUNCATED_PHASE]),
+                        _phase_spacing)),
+    st.tuples(st.just(LC),
+              st.builds(DvrRep, st.sampled_from([DvrKind.TRADITIONAL_CHARGE, DvrKind.TRUNCATED_CHARGE]),
+                        _charge_spacing)),
+    st.tuples(st.just(FLUXONIUM),
+              st.builds(DvrRep, st.sampled_from([DvrKind.TRADITIONAL_CHARGE, DvrKind.TRUNCATED_CHARGE]),
+                        _inverse_integer_charge_spacing)),
+    st.tuples(st.just(FLUXONIUM), st.builds(HoRep, st.sampled_from(LengthScale), st.just(121))),
+    st.tuples(st.just(LC), st.just(HoRep(LengthScale.LC, 121))),
+)
+
+
+def _merged_block_values(spec, rep, dim, upto):
+    blocks = [b for b in _parity_blocks(spec, rep, dim) if b.size]
+    return np.sort(np.concatenate([scipy.linalg.eigvalsh(b) for b in blocks]))[: upto + 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_parity_cases, _odd, _odd)
+def test_parity_split_matches_the_full_dense_solve(case, a, b):
+    spec, rep = case
+    dim, top = sorted((a, b))
+    # the LC circuit in the HO basis is pentadiagonal and keeps its band solver
+    assert splits_by_parity(spec, rep) == (spec is FLUXONIUM or not isinstance(rep, HoRep))
+    h = assemble(spec, rep, dim).entries
+    want = scipy.linalg.eigvalsh(h)[:5]
+    tol = 64 * _EPS * np.abs(h).max()
+    got = eigenvalues_by_size(spec, rep, (dim, top), 4)[0]
+    assert got.shape == want.shape and np.abs(got - want).max() <= tol
+    assert np.abs(_merged_block_values(spec, rep, dim, 4) - want).max() <= tol
+
+
+def test_transmon_phase_grid_splits_at_zero_offset_charge():
+    spec = CircuitSpec.transmon(0.2, 10.0, 0.0)
+    rep = DvrRep(DvrKind.TRUNCATED_PHASE, None)
+    assert splits_by_parity(spec, rep) and not splits_by_parity(spec, charge_basis())
+    sizes = (3, 9, 21, 41)
+    for d, got in zip(sizes, eigenvalues_by_size(spec, rep, sizes, 4)):
+        h = assemble(spec, rep, d).entries
+        want = scipy.linalg.eigvalsh(h)[: min(4, d - 1) + 1]
+        assert np.abs(got - want).max() <= 64 * _EPS * np.abs(h).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_parity_cases.filter(lambda case: nested_start(case[1], 3, 3) is not None), _odd, _odd)
+def test_parity_blocks_of_each_size_lead_those_of_the_largest(case, a, b):
+    spec, rep = case
+    dim, top = sorted((a, b))
+    for small, big in zip(_parity_blocks(spec, rep, dim), _parity_blocks(spec, rep, top)):
+        n = small.shape[0]
+        assert np.array_equal(small, big[:n, :n])
+
+
+def test_parity_blocks_have_the_half_sizes():
+    for rep in ALL_DVR_REPS + [HoRep(LengthScale.LC, 121)]:
+        for d in (1, 3, 21):
+            even, odd = _parity_blocks(FLUXONIUM, rep, d)
+            assert even.shape == ((d + 1) // 2,) * 2 and odd.shape == (d // 2,) * 2
+            if isinstance(rep, DvrRep):  # symmetric by construction on the half grid
+                assert np.array_equal(even, even.T) and np.array_equal(odd, odd.T)
+
+
+def _todays_route(spec, rep, sizes, upto):
+    """One gated assembly at the largest size (or one per size) and its block solver."""
+    top = max(sizes)
+    if nested_start(rep, top, top) is None:
+        return [_block_solver(_solver_matrix(assemble(spec, rep, d).entries))(0, d, min(upto, d - 1))
+                for d in sizes]
+    solve = _block_solver(_solver_matrix(assemble(spec, rep, top).entries))
+    return [solve(nested_start(rep, top, d), d, min(upto, d - 1)) for d in sizes]
+
+
+@pytest.mark.parametrize(
+    "spec, rep",
+    [
+        (CircuitSpec.fluxonium(2.5, 0.5, 10.0, 0.3), ALL_DVR_REPS[0]),
+        (CircuitSpec.fluxonium(2.5, 0.5, 10.0, 0.3), ALL_DVR_REPS[1]),
+        (CircuitSpec.fluxonium(2.5, 0.5, 10.0, 0.3), HoRep(LengthScale.LC, 121)),
+        (TRANSMON, charge_basis()),
+        (TRANSMON, DvrRep(DvrKind.TRUNCATED_PHASE, None)),
+        (CHARGE_LIMIT, charge_basis()),
+        (CHARGE_LIMIT, DvrRep(DvrKind.TRUNCATED_PHASE, None)),
+        (LC, FdRep(math.pi / 48, 1, Boundary.BOUNDED)),
+        (LC, FdRep(math.pi / 48, 3, Boundary.BOUNDED)),
+        (LC, HoRep(LengthScale.LC, 121)),
+    ],
+    ids=lambda x: getattr(x, "label", None) or f"{x.family.value}",
+)
+def test_asymmetric_and_banded_pairs_keep_their_route(spec, rep):
+    assert not splits_by_parity(spec, rep)
+    sizes = (7, 21, 41, 61)
+    got = eigenvalues_by_size(spec, rep, sizes, 4)
+    for g, w in zip(got, _todays_route(spec, rep, sizes, 4)):
+        assert np.array_equal(g, w)
+
+
+def test_parity_is_decided_from_the_circuit_alone():
+    assert parity_even(LC)
+    for A in (0.0, 0.5, 1.0, -0.5, 1.5, 2):
+        assert parity_even(CircuitSpec.fluxonium(2.5, 0.5, 10.0, A))
+    for A in (0.5 + 1e-12, 0.25, 0.3, 0.5 - 1e-16):
+        assert not parity_even(CircuitSpec.fluxonium(2.5, 0.5, 10.0, A))
+    assert parity_even(CircuitSpec.transmon(0.2, 10.0, 0.0))
+    assert not parity_even(CircuitSpec.transmon(0.2, 10.0, 0.5))
+    assert not parity_even(CircuitSpec.transmon(0.2, 10.0, 1e-300))
+    near = CircuitSpec.fluxonium(2.5, 0.5, 10.0, 0.5 + 1e-12)
+    assert not any(splits_by_parity(near, rep) for rep in ALL_DVR_REPS + [HoRep(LengthScale.LC)])
 
 
 # ---------------------------------------------------------------------------
