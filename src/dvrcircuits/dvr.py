@@ -195,7 +195,10 @@ def conj_moment_traditional(basis: DvrBasis, power: int) -> OperatorMatrix:
     if power not in (1, 2):
         raise ConfigError(f"power must be 1 or 2, got {power}")
     idx = np.arange(-basis.M, basis.M + 1)
-    return OperatorMatrix(traditional_moment_elements(basis, power, idx[:, None] - idx[None, :]))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        entries = traditional_moment_elements(basis, power, idx[:, None] - idx[None, :])
+    _check_finite_moment(basis, entries)
+    return OperatorMatrix(entries)
 
 
 def conj_function_truncated(basis: DvrBasis, g: Callable[[np.ndarray], np.ndarray]) -> OperatorMatrix:
@@ -234,7 +237,20 @@ def conj_moment_truncated(basis: DvrBasis, power: int) -> OperatorMatrix:
     """First or second conjugate moment of a truncated DVR (DFT construction)."""
     if power not in (1, 2):
         raise ConfigError(f"power must be 1 or 2, got {power}")
-    return conj_function_truncated(basis, lambda y: y ** power)
+    # y ** power may overflow on the conjugate grid (truncated_column rejects
+    # it) and the transform of finite values may still overflow (checked here)
+    with np.errstate(over="ignore", invalid="ignore"):
+        op = conj_function_truncated(basis, lambda y: y ** power)
+    _check_finite_moment(basis, op.entries)
+    return op
+
+
+def _check_finite_moment(basis: DvrBasis, entries: np.ndarray) -> None:
+    """ConfigError if a conjugate moment overflowed on this grid."""
+    if not np.all(np.isfinite(entries)):
+        raise ConfigError(
+            f"the conjugate moment is not finite on the {basis.kind.value} grid of spacing {basis.spacing_value!r}"
+        )
 
 
 def cosine_band(basis: DvrBasis, A: float, sign: int = +1) -> tuple[int, complex]:

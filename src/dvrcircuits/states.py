@@ -5,6 +5,12 @@ basis, so decompositions are squared magnitudes of its components.  Phase
 shifts by integer multiples of the grid spacing act as index shifts: zero
 filled at the boundary for the traditional phase DVR, wrapped for the
 truncated one.
+
+In a phase DVR the flux enters only through one grid diagonal,
+-E_J cos(theta_alpha + 2*pi*A).  A flux sweep that holds the state therefore
+costs one assembly and one eigensolve per representation, plus O(d) per
+(A, beta): the grid populations |c_alpha|^2 against cos and sin on the grid.
+A sweep that rediagonalizes re-assembles and re-solves at each A.
 """
 
 from __future__ import annotations
@@ -13,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import CircuitSpec, Family, terms
-from .dvr import DvrBasis, OperatorMatrix, sine_in_phase
+from .circuits import CircuitSpec, Family
+from .dvr import DvrBasis, OperatorMatrix, grid_points, sine_in_phase
 from .errors import ConfigError
-from .spectra import DvrRep, Representation, Spectrum, assemble, eigensolve
+from .spectra import DvrRep, Spectrum, assemble, eigensolve
 
 
 @dataclass(frozen=True)
@@ -57,24 +63,16 @@ def decompose(spectrum: Spectrum, levels: int, floor: float = 0.0) -> np.ndarray
     return np.maximum(mags, floor) if floor > 0.0 else mags
 
 
-def _index_step(d: int, direction: int, wrap: bool) -> np.ndarray:
-    """Single-step shift matrix sending coefficient alpha to alpha - direction."""
-    step = np.zeros((d, d))
-    for col in range(d):
-        row = col - direction
-        if wrap:
-            step[row % d, col] = 1.0
-        elif 0 <= row < d:
-            step[row, col] = 1.0
-    return step
-
-
 def shift_operator(basis: DvrBasis, shift: ShiftSpec) -> OperatorMatrix:
-    """The beta-th power of the single-step shift matrix for a phase DVR."""
+    """The shift as a matrix: (U c)[alpha] = c[alpha + k], k = beta * direction,
+    with alpha + k wrapped mod d on a truncated grid and U zero past the edge
+    of a traditional one (U = 0 once |k| >= d)."""
     if not basis.kind.is_phase:
         raise ConfigError("phase shifts require a phase-kind DVR")
-    step = _index_step(basis.dim, shift.direction, basis.kind.is_truncated)
-    return OperatorMatrix(np.linalg.matrix_power(step, shift.beta))
+    d, k = basis.dim, shift.beta * shift.direction
+    if basis.kind.is_truncated:
+        return OperatorMatrix(np.roll(np.eye(d), k, axis=1))
+    return OperatorMatrix(np.eye(d, k=k))
 
 
 def apply_shift(state: StateVector, basis: DvrBasis, shift: ShiftSpec) -> tuple[StateVector, float]:
@@ -134,8 +132,13 @@ def flux_sweep(
     The ground state is prepared at the circuit's own flux ratio (A = 1/2 in
     the reference configuration), shifted once per beta, and held fixed while
     the flux-dependent operators sweep A; rows are (A, phi, <H(A)>,
-    <sin(theta + 2*pi*A)>).  With ``rediagonalize`` the state is re-prepared
-    as the ground state at each swept A instead.
+    <sin(theta + 2*pi*A)>).  The flux is one grid diagonal, so a held state's
+    rows need H only at the circuit's own A_0: with grid populations
+    p = |c|^2, <H(A)> is the flux-independent rest
+    <H(A_0)> + E_J p.cos(theta + 2*pi*A_0) minus E_J p.cos(theta + 2*pi*A),
+    and the current is p.sin(theta + 2*pi*A).
+    With ``rediagonalize`` the state is re-prepared as the ground state at
+    each swept A instead, which re-assembles and re-solves H(A) there.
     """
     if spec.family is not Family.FLUXONIUM:
         raise ConfigError("flux sweeps are defined for the fluxonium")
@@ -146,29 +149,30 @@ def flux_sweep(
         raise ConfigError("flux sweeps require a phase DVR")
     if a_values is None:
         a_values = np.linspace(0.0, 1.0, 101)
-    ground = StateVector.from_eigenvector(eigensolve(assemble(spec, rep, dim), 1), 0)
-    shifted = {}
-    for beta in betas:
-        state, _ = apply_shift(ground, basis, ShiftSpec(beta, direction))
-        shifted[beta] = state
+    h = assemble(spec, rep, dim)  # at the circuit's own A, on either path
+    shifts = [ShiftSpec(beta, direction) for beta in betas]
     rows = []
-    for a in a_values:
-        spec_a = _fluxonium_at(spec, float(a))
-        h_a = assemble(spec_a, rep, dim)
-        current_a = sine_in_phase(basis, float(a))
-        if rediagonalize:
+    if rediagonalize:
+        for a in a_values:
+            h_a = assemble(_fluxonium_at(spec, float(a)), rep, dim)
+            current_a = sine_in_phase(basis, float(a))
             base = StateVector.from_eigenvector(eigensolve(h_a, 1), 0)
-        for beta in betas:
-            if rediagonalize:
-                state, _ = apply_shift(base, basis, ShiftSpec(beta, direction))
-            else:
-                state = shifted[beta]
-            rows.append(
-                (
-                    float(a),
-                    ShiftSpec(beta, direction).phi(basis),
-                    expectation(h_a, state),
-                    expectation(current_a, state),
-                )
-            )
+            for shift in shifts:
+                state, _ = apply_shift(base, basis, shift)
+                rows.append((float(a), shift.phi(basis), expectation(h_a, state), expectation(current_a, state)))
+        return rows
+    ground = StateVector.from_eigenvector(eigensolve(h, 1), 0)
+    theta = grid_points(basis)
+    # the same grid values _dvr_terms puts on the diagonal of H
+    cos_own = np.cos(theta + 2.0 * np.pi * spec.A)
+    held = []
+    for shift in shifts:
+        state, _ = apply_shift(ground, basis, shift)
+        p = np.abs(state.coefficients) ** 2
+        held.append((shift.phi(basis), p, expectation(h, state) + spec.E_J * (p @ cos_own)))
+    for a in a_values:
+        arg = theta + 2.0 * np.pi * float(a)
+        cos_a, sin_a = np.cos(arg), np.sin(arg)
+        for phi, p, rest in held:
+            rows.append((float(a), phi, float(rest - spec.E_J * (p @ cos_a)), float(p @ sin_a)))
     return rows

@@ -4,14 +4,18 @@ The direct sum for the truncated DVRs shares no machinery with the package's
 DFT path, so an agreement between the two is evidence about both.  The
 per-term DVR Hamiltonian builds each term as a dense matrix from the public
 operator builders and sums them, apart from the Toeplitz assembly of
-``spectra``.
+``spectra``.  The reassembling flux sweep evaluates <H(A)> and the current
+as dense expectations of H(A) and sin(theta + 2*pi*A) rebuilt at every A,
+apart from the population shortcut of ``states.flux_sweep``; the shift
+matrix is the beta-th matrix power of a one-step matrix filled column by
+column.
 """
 
 import math
 
 import numpy as np
 
-from dvrcircuits.circuits import CircuitSpec, HamiltonianTerm, OperatorKind, terms
+from dvrcircuits.circuits import CircuitSpec, Family, HamiltonianTerm, OperatorKind, terms
 from dvrcircuits.dvr import (
     DvrBasis,
     OperatorMatrix,
@@ -20,9 +24,11 @@ from dvrcircuits.dvr import (
     conj_moment_truncated,
     cosine_in_charge,
     diag_of_discretized,
+    sine_in_phase,
 )
 from dvrcircuits.errors import ConfigError
-from dvrcircuits.spectra import DvrRep, concrete_dvr_basis
+from dvrcircuits.spectra import DvrRep, assemble, concrete_dvr_basis, eigensolve
+from dvrcircuits.states import ShiftSpec, StateVector, apply_shift, expectation
 
 
 def conj_moment_truncated_direct(basis: DvrBasis, power: int) -> OperatorMatrix:
@@ -85,3 +91,63 @@ def dvr_hamiltonian_by_terms(spec: CircuitSpec, rep: DvrRep, dim: int) -> np.nda
     each coefficient times its term's dense matrix."""
     basis = concrete_dvr_basis(rep, dim)
     return sum(term.coefficient * _dvr_term_operator(basis, term).entries for term in terms(spec))
+
+
+def shift_operator_by_powers(basis: DvrBasis, shift: ShiftSpec) -> OperatorMatrix:
+    """The beta-th matrix power of the single-step shift matrix, which sends
+    coefficient alpha to alpha - direction (wrapped on a truncated grid)."""
+    if not basis.kind.is_phase:
+        raise ConfigError("phase shifts require a phase-kind DVR")
+    d = basis.dim
+    step = np.zeros((d, d))
+    for col in range(d):
+        row = col - shift.direction
+        if basis.kind.is_truncated:
+            step[row % d, col] = 1.0
+        elif 0 <= row < d:
+            step[row, col] = 1.0
+    return OperatorMatrix(np.linalg.matrix_power(step, shift.beta))
+
+
+def flux_sweep_by_reassembly(
+    spec: CircuitSpec,
+    rep: DvrRep,
+    dim: int,
+    betas: tuple[int, ...],
+    direction: int = +1,
+    a_values: np.ndarray | None = None,
+    rediagonalize: bool = False,
+) -> list[tuple[float, float, float, float]]:
+    """``states.flux_sweep`` with H(A) and sin(theta + 2*pi*A) rebuilt as dense
+    matrices at every A and both rows' values taken as dense expectations."""
+    if spec.family is not Family.FLUXONIUM:
+        raise ConfigError("flux sweeps are defined for the fluxonium")
+    if rep.spacing is None:
+        raise ConfigError("flux sweeps need an explicit grid spacing")
+    basis = DvrBasis(rep.kind, rep.spacing, (dim - 1) // 2)
+    if not basis.kind.is_phase:
+        raise ConfigError("flux sweeps require a phase DVR")
+    if a_values is None:
+        a_values = np.linspace(0.0, 1.0, 101)
+    ground = StateVector.from_eigenvector(eigensolve(assemble(spec, rep, dim), 1), 0)
+    shifted = {beta: apply_shift(ground, basis, ShiftSpec(beta, direction))[0] for beta in betas}
+    rows = []
+    for a in a_values:
+        h_a = assemble(CircuitSpec.fluxonium(spec.E_C, spec.E_L, spec.E_J, float(a)), rep, dim)
+        current_a = sine_in_phase(basis, float(a))
+        if rediagonalize:
+            base = StateVector.from_eigenvector(eigensolve(h_a, 1), 0)
+        for beta in betas:
+            if rediagonalize:
+                state, _ = apply_shift(base, basis, ShiftSpec(beta, direction))
+            else:
+                state = shifted[beta]
+            rows.append(
+                (
+                    float(a),
+                    ShiftSpec(beta, direction).phi(basis),
+                    expectation(h_a, state),
+                    expectation(current_a, state),
+                )
+            )
+    return rows

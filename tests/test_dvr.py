@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -148,6 +149,33 @@ def test_traditional_moment_rejects_truncated_kind():
     b = DvrBasis(DvrKind.TRUNCATED_PHASE, Spacing(1, 8, pi=True), 3)
     with pytest.raises(ConfigError):
         conj_moment_traditional(b, 2)
+
+
+@pytest.mark.parametrize("kind", [DvrKind.TRADITIONAL_PHASE, DvrKind.TRUNCATED_PHASE])
+@pytest.mark.parametrize(
+    "power, den",
+    [
+        pytest.param(1, 10**309, id="N-subnormal-spacing"),  # 1/dTheta overflows
+        pytest.param(2, 10**166, id="N2-pi-over-1e166"),  # (pi/dTheta)^2 overflows
+    ],
+)
+def test_conjugate_moment_must_be_finite(kind, power, den):
+    builder = conj_moment_truncated if kind.is_truncated else conj_moment_traditional
+    basis = DvrBasis(kind, Spacing(1, den, pi=True), 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError):
+            builder(basis, power)
+
+
+def test_truncated_moment_whose_transform_overflows_is_rejected():
+    # every y^2 on the conjugate grid is finite, but their sum in the DFT is not
+    basis = DvrBasis(DvrKind.TRUNCATED_PHASE, Spacing(1, 12 * 10**153, pi=True), 2)
+    assert np.all(np.isfinite((np.arange(-2, 3) * basis.conjugate_spacing) ** 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError):
+            conj_moment_truncated(basis, 2)
 
 
 # ---------------------------------------------------------------------------

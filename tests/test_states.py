@@ -15,6 +15,7 @@ from dvrcircuits.states import (
     flux_sweep,
     shift_operator,
 )
+from oracles import flux_sweep_by_reassembly, shift_operator_by_powers
 
 FLUXONIUM = CircuitSpec.fluxonium(2.5, 0.5, 10.0, 0.5)
 PHASE_REP = DvrRep(DvrKind.TRADITIONAL_PHASE, Spacing(5, 32, pi=True))
@@ -99,6 +100,18 @@ def test_traditional_full_shift_is_zero():
     basis = _basis(PHASE_REP, 11)
     u = shift_operator(basis, ShiftSpec(11)).entries
     assert np.array_equal(u, np.zeros((11, 11)))
+
+
+@pytest.mark.parametrize("rep", [PHASE_REP, TRUNC_REP], ids=lambda rep: rep.kind.value)
+@pytest.mark.parametrize("direction", [+1, -1])
+@pytest.mark.parametrize("beta", [0, 1, 5, 11, 14])  # 11 = d, 14 = d + 3
+def test_shift_operator_equals_the_matrix_power(rep, direction, beta):
+    basis = _basis(rep, 11)
+    shift = ShiftSpec(beta, direction)
+    u = shift_operator(basis, shift).entries
+    expected = shift_operator_by_powers(basis, shift).entries
+    assert u.dtype == expected.dtype
+    assert np.array_equal(u, expected)
 
 
 def test_shift_requires_phase_basis():
@@ -205,3 +218,54 @@ def test_flux_sweep_rediagonalize_follows_the_ground_state():
     # at A = spec.A both paths prepare the same ground state
     assert abs(rediag[1][2] - fixed[1][2]) < 1e-10
     assert abs(fixed[0][2] - rediag[0][2]) > 1e-6
+
+
+# A sweep on both phase kinds at three spacings (a fine, a medium and a coarse
+# grid), for a circuit at half flux and one off it.
+SWEEP_REPS = [
+    DvrRep(kind, spacing)
+    for kind in (DvrKind.TRADITIONAL_PHASE, DvrKind.TRUNCATED_PHASE)
+    for spacing in (Spacing(1, 64, pi=True), Spacing(5, 32, pi=True), Spacing(3, 1, pi=True))
+]
+SWEEP_CIRCUITS = [FLUXONIUM, CircuitSpec.fluxonium(2.5, 0.5, 10.0, 0.37)]
+SWEEP_BETAS = (0, 2, 13)
+SWEEP_A = np.linspace(0.0, 1.0, 21)
+
+
+@pytest.mark.parametrize("rep", SWEEP_REPS, ids=lambda rep: rep.label)
+@pytest.mark.parametrize("dim", [41, 301])
+@pytest.mark.parametrize("direction", [+1, -1])
+@pytest.mark.parametrize("spec", SWEEP_CIRCUITS, ids=lambda spec: f"A={spec.A}")
+def test_held_flux_sweep_matches_reassembly(spec, rep, dim, direction):
+    # the held state's rows come from grid populations; the oracle rebuilds
+    # H(A) and sin(theta + 2*pi*A) as dense matrices at every A
+    eps = np.finfo(float).eps
+    rows = flux_sweep(spec, rep, dim, SWEEP_BETAS, direction, a_values=SWEEP_A)
+    expected = flux_sweep_by_reassembly(spec, rep, dim, SWEEP_BETAS, direction, a_values=SWEEP_A)
+    assert len(rows) == len(expected) == SWEEP_A.size * len(SWEEP_BETAS)
+    for row, ref in zip(rows, expected):
+        assert row[:2] == ref[:2]
+        spec_a = CircuitSpec.fluxonium(spec.E_C, spec.E_L, spec.E_J, row[0])
+        h_max = np.abs(assemble(spec_a, rep, dim).entries).max()
+        assert abs(row[2] - ref[2]) <= 4 * eps * h_max
+        assert abs(row[3] - ref[3]) <= 4 * eps
+
+
+def test_held_flux_sweep_covers_a_state_pushed_off_the_grid():
+    # beta = 13 on the 41-point pi/64 traditional grid evicts weight, so one
+    # of the sweeps above holds a state of norm below one
+    rep, dim = SWEEP_REPS[0], 41
+    assert rep.kind is DvrKind.TRADITIONAL_PHASE and rep.spacing == Spacing(1, 64, pi=True)
+    _, state = _ground(rep, dim)
+    _, norm = apply_shift(state, _basis(rep, dim), ShiftSpec(13))
+    assert norm < 0.99
+
+
+@pytest.mark.parametrize("rep", [SWEEP_REPS[1], SWEEP_REPS[4]], ids=lambda rep: rep.label)
+@pytest.mark.parametrize("direction", [+1, -1])
+@pytest.mark.parametrize("spec", SWEEP_CIRCUITS, ids=lambda spec: f"A={spec.A}")
+def test_rediagonalized_flux_sweep_equals_reassembly(spec, rep, direction):
+    a_values = np.linspace(0.0, 1.0, 11)
+    rows = flux_sweep(spec, rep, 41, SWEEP_BETAS, direction, a_values=a_values, rediagonalize=True)
+    expected = flux_sweep_by_reassembly(spec, rep, 41, SWEEP_BETAS, direction, a_values=a_values, rediagonalize=True)
+    assert rows == expected
