@@ -35,7 +35,7 @@ from .convergence import (
     sweep_levels,
 )
 from .dvr import DvrKind, Spacing
-from .errors import ConfigError, NumericalError, json_int
+from .errors import ConfigError, NumericalError, json_int, json_number
 from .fdm import Boundary
 from .ho import LengthScale
 from .presets import (
@@ -97,10 +97,8 @@ def rep_from_dict(data: dict) -> Representation:
             if isinstance(spacing, dict):
                 spacing = Spacing.from_dict(spacing).value
             elif spacing is not None:
-                if isinstance(spacing, bool) or not isinstance(spacing, (int, float)):
-                    raise ConfigError(f"fd spacing must be a number, got {spacing!r}")
-                spacing = float(spacing)
-                if not 0.0 < spacing < math.inf:
+                spacing = json_number(spacing, "fd spacing")
+                if not spacing > 0.0:
                     raise ConfigError(f"fd spacing must be finite and positive, got {spacing!r}")
             return FdRep(
                 spacing,
@@ -136,8 +134,10 @@ class RunConfig:
             raise ConfigError("size list must not be empty")
         if not self.levels:
             raise ConfigError("level list must not be empty")
-        if not self.threshold_GHz > 0:
-            raise ConfigError(f"threshold must be positive, got {self.threshold_GHz}")
+        if not 0.0 < self.threshold_GHz < math.inf:
+            raise ConfigError(f"threshold must be finite and positive, got {self.threshold_GHz}")
+        if not 0.0 <= self.decompose_floor < math.inf:
+            raise ConfigError(f"decompose floor must be finite and non-negative, got {self.decompose_floor}")
         for rep in self.representations:
             check_compatible(self.circuit, rep)
 
@@ -185,9 +185,9 @@ def config_from_dict(data: dict) -> RunConfig:
             representations=tuple(rep_from_dict(r) for r in data["representations"]),
             sizes=_parse_sizes(data["sizes"]),
             levels=tuple(json_int(n, "level") for n in data.get("levels", [0])),
-            threshold_GHz=float(data.get("threshold_GHz", DEFAULT_THRESHOLD_GHZ)),
+            threshold_GHz=json_number(data.get("threshold_GHz", DEFAULT_THRESHOLD_GHZ), "threshold_GHz"),
             scale=Scale(data.get("scale", "absolute")),
-            decompose_floor=float(data.get("decompose_floor", 1e-20)),
+            decompose_floor=json_number(data.get("decompose_floor", 1e-20), "decompose_floor"),
             shift_betas=tuple(json_int(b, "shift beta") for b in data.get("shift_betas", [0, 1, 2])),
             shift_direction=json_int(data.get("shift_direction", 1), "shift_direction"),
             shift_rediagonalize=data.get("shift_rediagonalize", False),

@@ -1,4 +1,6 @@
-"""Shared exception types and the check of integer config values."""
+"""Shared exception types and the checks of integer and float config values."""
+
+import math
 
 
 class ConfigError(ValueError):
@@ -18,3 +20,17 @@ def json_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def json_number(value, name: str) -> float:
+    """value as a float if it is a finite JSON number (an integer or a float,
+    not a bool), else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return number

@@ -42,8 +42,8 @@ class HoBasis:
     embed_dim: int = DEFAULT_EMBED_DIM
 
     def __post_init__(self):
-        if not self.theta0 > 0:
-            raise ConfigError(f"theta0 must be positive, got {self.theta0}")
+        if not 0.0 < self.theta0 < math.inf:
+            raise ConfigError(f"theta0 must be finite and positive, got {self.theta0}")
         if self.dim < 1:
             raise ConfigError(f"dim must be >= 1, got {self.dim}")
         if self.embed_dim < self.dim:

@@ -13,6 +13,9 @@ and a narrow-banded matrix is solved on its bands.  A dense Hamiltonian that
 commutes with the parity theta -> -theta (:func:`splits_by_parity`, decided
 from the circuit) is solved as an even and an odd block of half the size; a
 DVR builds them on the half grid as Toeplitz +- Hankel plus the diagonal.
+A sweep for the ground level alone solves one of the two blocks and proves
+with one shifted Cholesky factorization (:func:`_bounded_below`) that the
+other has nothing lower, solving it only when that proof fails.
 Reference energies come from a closed form (LC), a large harmonic-oscillator
 diagonalization (fluxonium), or a converged charge-basis oracle (transmon).
 """
@@ -211,9 +214,12 @@ def _assemble_ho(spec: CircuitSpec, rep: HoRep, dim: int) -> OperatorMatrix:
         raise ConfigError(f"matrix dimension {dim} exceeds the HO embedding size {rep.embed_dim}")
     basis = HoBasis(length_scale(spec, rep.scale), dim, rep.embed_dim)
     theta2, n2 = quadratic_operators(basis)
-    h = 4.0 * spec.E_C * n2.entries + 0.5 * spec.E_L * theta2.entries
-    if spec.family is Family.FLUXONIUM:
-        h = h - spec.E_J * cos_in_ho(basis, spec.A).entries
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = 4.0 * spec.E_C * n2.entries + 0.5 * spec.E_L * theta2.entries
+        if spec.family is Family.FLUXONIUM:
+            h = h - spec.E_J * cos_in_ho(basis, spec.A).entries
+    if not np.isfinite(h).all():
+        raise ConfigError(f"the HO Hamiltonian at theta0 = {basis.theta0!r} is not finite")
     return OperatorMatrix(h)
 
 
@@ -237,11 +243,12 @@ def assemble(spec: CircuitSpec, rep: Representation, dim: int) -> OperatorMatrix
 
 
 def _solver_matrix(h: np.ndarray) -> np.ndarray:
-    """The one gate before LAPACK: reject a non-Hermitian matrix, then drop a
-    numerically-zero imaginary part so LAPACK takes the real path."""
+    """The one gate before LAPACK: reject a non-Hermitian matrix (a NaN
+    defect fails the comparison too), then drop a numerically-zero imaginary
+    part so LAPACK takes the real path."""
     tol = HERMITICITY_RTOL * max(float(np.abs(h).max(initial=0.0)), 1.0)
     defect = float(np.abs(h - h.conj().T).max(initial=0.0))
-    if defect > tol:
+    if not defect <= tol:
         raise NumericalError(f"matrix is not Hermitian (defect {defect:.3e})")
     if np.iscomplexobj(h) and float(np.abs(h.imag).max(initial=0.0)) <= tol:
         return np.ascontiguousarray(h.real)
@@ -398,6 +405,54 @@ def _parity_blocks(spec: CircuitSpec, rep: Representation, dim: int) -> tuple[np
     return np.ascontiguousarray(h[0::2, 0::2]), np.ascontiguousarray(h[1::2, 1::2])
 
 
+def _certificate_margin(n: int, norm: float, a0: float) -> float:
+    """delta of :func:`_bounded_below` for a real n x n matrix b of Frobenius
+    norm ``norm``: c (sqrt(2) norm + |a0|) / (1 - c), c = (n + 2)^2 eps.
+
+    The symmetric matrix B of b's lower triangle has ||B||_2 <= ||B||_F <=
+    sqrt(2) norm =: s.  Cholesky that runs to completion on the rounded
+    B - sigma*I gives R^T R = B - sigma*I + E with |E| <= gamma_{n+1} |R^T||R|
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    Thm 10.3; the bound does not depend on the order in which the inner
+    products are summed, so blocked factorizations obey it too).  Since
+    ||R||_F^2 = trace(R^T R), ||E||_2 <= (n + 2) eps sum_j |b_jj - sigma| <=
+    (n + 2) eps n (s + |a0| + delta), the rounding of B - sigma*I included.
+    The eigensolvers return eigenvalues of B + F with ||F||_2 <= n eps s
+    (LAPACK's "modestly growing function of n" taken as n), and
+    sigma = a0 + delta rounds by at most eps (|a0| + delta).  The three sum to
+    at most delta.
+    """
+    c = (n + 2) ** 2 * np.finfo(float).eps
+    return c * (math.sqrt(2.0) * norm + abs(a0)) / (1.0 - c)
+
+
+def _bounded_below(b: np.ndarray, a0: float) -> bool:
+    """Whether the lowest eigenvalue a solver computes for the symmetric matrix
+    of the real b's lower triangle is proven >= a0, without computing it.
+
+    One Cholesky factorization of B - (a0 + delta) I, delta from
+    :func:`_certificate_margin`: if it succeeds, Sylvester's law of inertia
+    puts every eigenvalue of B at or above a0 + delta - ||E||_2.  False proves
+    nothing.  It runs as LAPACK's band Cholesky pbtrf with the full band.  On
+    one BLAS thread that is as fast as potrf, but OpenBLAS runs potrf in
+    parallel from n = 128: at n = 151 on a loaded 2-core Xeon (one BLAS
+    thread / two) potrf took a median 0.14 / 0.43 ms and pbtrf 0.13 / 0.16 ms.
+    """
+    n = b.shape[0]
+    # lower band storage, band[k, j] = b[j + k, j]: column j of b from its
+    # diagonal down, read in place from b's columns laid end to end (the
+    # entries with j + k >= n are never read)
+    columns = np.zeros(n * (n + 1))
+    columns[: n * n] = b.ravel(order="F")
+    step = columns.itemsize
+    band = np.array(np.lib.stride_tricks.as_strided(columns, (n, n), (step, (n + 1) * step)), order="F")
+    # a sum, not np.linalg.norm: numpy's own BLAS runs dot in parallel from
+    # 10^4 entries, and its threads then compete with those of LAPACK's BLAS
+    norm = math.sqrt(float(np.sum(np.square(columns))))
+    band[0] -= a0 + _certificate_margin(n, norm, a0)
+    return scipy.linalg.lapack.dpbtrf(band, lower=True, overwrite_ab=True)[1] == 0
+
+
 def eigenvalues_by_size(
     spec: CircuitSpec, rep: Representation, sizes: tuple[int, ...], upto: int
 ) -> list[np.ndarray]:
@@ -407,28 +462,53 @@ def eigenvalues_by_size(
     and every size is solved on its block; any other is assembled per size.
     Where :func:`splits_by_parity` holds, the same is done with the even and
     odd blocks, and each size merges the lowest values of its two blocks.
+
+    A split sweep for the ground level alone (upto == 0) solves first the
+    block that held the ground level at the previous size (the even block at
+    the first) for its lowest value a0, and the other block is solved only if
+    :func:`_bounded_below` cannot prove that the value its solver would return
+    is >= a0 (the parity blocks are real).  A passed certificate bounds that block's lowest eigenvalue by
+    a0 + delta - ||E||_2, and delta covers the Cholesky backward error E and
+    the block's own eigensolver error (:func:`_certificate_margin`), so the
+    merge of both blocks' lowest values would pick a0 too: the values are
+    those of the full two-block merge, bit for bit.
     """
     if not sizes:
         raise ConfigError("empty size list")
     top = max(sizes)
     split = splits_by_parity(spec, rep)
 
-    def solvers(d: int) -> list[Callable[[int, int, int], np.ndarray]]:
+    def solvers(d: int) -> tuple[list[np.ndarray], list[Callable[[int, int, int], np.ndarray]]]:
         blocks = _parity_blocks(spec, rep, d) if split else (assemble(spec, rep, d).entries,)
-        return [_block_solver(_solver_matrix(b)) for b in blocks]
+        matrices = [_solver_matrix(b) for b in blocks]
+        return matrices, [_block_solver(m) for m in matrices]
 
     nested = nested_start(rep, top, top) is not None
     shared = solvers(top) if nested else None
+    held = 0  # the block that held the ground level at the previous size
     out = []
     for d in sizes:
         start = nested_start(rep, top, d) if nested else 0
-        solve = shared if nested else solvers(d)
+        matrices, solve = shared if nested else solvers(d)
         k = min(upto, d - 1)
-        if split:  # the blocks of H(d) lead those of H(top)
-            parts = [block(0, n, min(k, n - 1)) for block, n in zip(solve, ((d + 1) // 2, d // 2)) if n]
-            out.append(np.sort(np.concatenate(parts))[: k + 1])
-        else:
+        if not split:
             out.append(solve[0](start, d, k))
+            continue
+        # the blocks of H(d) lead those of H(top)
+        half = ((d + 1) // 2, d // 2)
+        if upto == 0 and half[1]:
+            other = 1 - held
+            a0 = solve[held](0, half[held], 0)
+            n = half[other]
+            if _bounded_below(matrices[other][:n, :n], float(a0[0])):
+                out.append(a0)
+                continue
+            b0 = solve[other](0, n, 0)
+            held = other if b0[0] < a0[0] else held
+            parts = (a0, b0) if other else (b0, a0)
+        else:
+            parts = [block(0, n, min(k, n - 1)) for block, n in zip(solve, half) if n]
+        out.append(np.sort(np.concatenate(parts))[: k + 1])
     return out
 
 

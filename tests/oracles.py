@@ -8,7 +8,9 @@ operator builders and sums them, apart from the Toeplitz assembly of
 as dense expectations of H(A) and sin(theta + 2*pi*A) rebuilt at every A,
 apart from the population shortcut of ``states.flux_sweep``; the shift
 matrix is the beta-th matrix power of a one-step matrix filled column by
-column.
+column.  The two-block sweep solves both parity blocks at every size and
+merges their lowest values, without the ground-level certificate of
+``spectra.eigenvalues_by_size``.
 """
 
 import math
@@ -27,7 +29,18 @@ from dvrcircuits.dvr import (
     sine_in_phase,
 )
 from dvrcircuits.errors import ConfigError
-from dvrcircuits.spectra import DvrRep, assemble, concrete_dvr_basis, eigensolve
+from dvrcircuits.spectra import (
+    DvrRep,
+    Representation,
+    _block_solver,
+    _parity_blocks,
+    _solver_matrix,
+    assemble,
+    concrete_dvr_basis,
+    eigensolve,
+    nested_start,
+    splits_by_parity,
+)
 from dvrcircuits.states import ShiftSpec, StateVector, apply_shift, expectation
 
 
@@ -151,3 +164,32 @@ def flux_sweep_by_reassembly(
                 )
             )
     return rows
+
+
+def eigenvalues_by_size_merging_blocks(
+    spec: CircuitSpec, rep: Representation, sizes: tuple[int, ...], upto: int
+) -> list[np.ndarray]:
+    """``spectra.eigenvalues_by_size`` with both parity blocks of a split
+    representation solved at every size and their lowest values merged."""
+    if not sizes:
+        raise ConfigError("empty size list")
+    top = max(sizes)
+    split = splits_by_parity(spec, rep)
+
+    def solvers(d):
+        blocks = _parity_blocks(spec, rep, d) if split else (assemble(spec, rep, d).entries,)
+        return [_block_solver(_solver_matrix(b)) for b in blocks]
+
+    nested = nested_start(rep, top, top) is not None
+    shared = solvers(top) if nested else None
+    out = []
+    for d in sizes:
+        start = nested_start(rep, top, d) if nested else 0
+        solve = shared if nested else solvers(d)
+        k = min(upto, d - 1)
+        if split:  # the blocks of H(d) lead those of H(top)
+            parts = [block(0, n, min(k, n - 1)) for block, n in zip(solve, ((d + 1) // 2, d // 2)) if n]
+            out.append(np.sort(np.concatenate(parts))[: k + 1])
+        else:
+            out.append(solve[0](start, d, k))
+    return out

@@ -290,6 +290,33 @@ def test_malformed_config_value_exits_2(tmp_path, field, value):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("threshold_GHz", "1e-3"),
+        ("threshold_GHz", True),
+        ("threshold_GHz", float("inf")),
+        ("threshold_GHz", float("nan")),
+        ("threshold_GHz", 0),
+        ("decompose_floor", True),
+        ("decompose_floor", -1.0),
+        ("decompose_floor", float("nan")),
+        ("decompose_floor", float("inf")),
+        ("decompose_floor", "0"),
+    ],
+)
+def test_float_fields_must_be_finite_json_numbers(tmp_path, field, value):
+    # json.dumps writes inf and nan as the JSON extensions Infinity and NaN
+    cfg = _write_config(tmp_path, dict(LC_CONFIG, **{field: value}))
+    assert main(["metrics", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert not (tmp_path / "x").exists()
+
+
+def test_float_fields_accept_json_integers(tmp_path):
+    config = config_from_dict(dict(LC_CONFIG, threshold_GHz=1, decompose_floor=0))
+    assert config.threshold_GHz == 1.0 and config.decompose_floor == 0.0
+
+
 @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
 @pytest.mark.parametrize("field", ["pi", "shift_rediagonalize"])
 def test_booleans_must_be_json_booleans(tmp_path, field, value):
@@ -374,6 +401,21 @@ def test_dvr_hamiltonian_must_be_finite(tmp_path, command, circuit, spacing):
     # (metrics) alike.
     doc = dict(LC_CONFIG, circuit=circuit, sizes={"largest": 11},
                representations=[{"type": "dvr", "kind": "traditional_phase", "spacing": spacing}])
+    cfg = _write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize(
+    "circuit, largest",
+    [
+        ({"family": "lc", "E_C": 1e300, "E_L": 1e-300}, 11),  # theta0 = inf
+        ({"family": "lc", "E_C": 1e307, "E_L": 1e307}, 101),  # 4 E_C N^2 overflows
+    ],
+    ids=["theta0-overflows", "kinetic-overflows"],
+)
+@pytest.mark.parametrize("command", ["metrics", "decompose"])
+def test_ho_hamiltonian_must_be_finite(tmp_path, command, circuit, largest):
+    doc = dict(_HO_CONFIG, circuit=circuit, sizes={"largest": largest})
     cfg = _write_config(tmp_path, doc)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 

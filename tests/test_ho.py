@@ -36,8 +36,9 @@ def test_length_scale_rejects_transmon():
 
 
 def test_basis_validation():
-    with pytest.raises(ConfigError):
-        HoBasis(-1.0, 10)
+    for theta0 in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ConfigError):
+            HoBasis(theta0, 10)
     with pytest.raises(ConfigError):
         HoBasis(2.5, 10, embed_dim=5)
 

@@ -1,4 +1,6 @@
+import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,7 +14,9 @@ from dvrcircuits.errors import ConfigError, IncompatibleRepresentationError, Num
 from dvrcircuits.fdm import Boundary
 from dvrcircuits.ho import LengthScale
 from dvrcircuits.dvr import OperatorMatrix
-from dvrcircuits.convergence import sweep
+from dvrcircuits import spectra
+from dvrcircuits.cli import main
+from dvrcircuits.convergence import default_sizes, sweep, sweep_levels
 from dvrcircuits.presets import (
     CHARGE_LIMIT,
     FLUXONIUM_CIRCUIT,
@@ -27,6 +31,8 @@ from dvrcircuits.spectra import (
     FdRep,
     HoRep,
     _block_solver,
+    _bounded_below,
+    _certificate_margin,
     _fluxonium_reference,
     _parity_blocks,
     _solver_matrix,
@@ -43,7 +49,7 @@ from dvrcircuits.spectra import (
     reference_energy,
     splits_by_parity,
 )
-from oracles import dvr_hamiltonian_by_terms
+from oracles import dvr_hamiltonian_by_terms, eigenvalues_by_size_merging_blocks
 
 LC = CircuitSpec.lc(1.0, 1.0)
 FLUXONIUM = CircuitSpec.fluxonium(2.5, 0.5, 10.0, 0.5)
@@ -176,6 +182,19 @@ def test_dvr_assembly_equals_the_per_term_sum(spec, reps, dim):
         if isinstance(rep, DvrRep):
             h, expect = assemble(spec, rep, dim).entries, dvr_hamiltonian_by_terms(spec, rep, dim)
             assert h.dtype == expect.dtype and np.array_equal(h, expect), rep.label
+
+
+@pytest.mark.parametrize(
+    "spec, dim",
+    [
+        (CircuitSpec.lc(1e307, 1e307), 101),  # 4 E_C N^2 overflows at the top of the basis
+        (CircuitSpec.fluxonium(1e307, 1e307, 10.0, 0.5), 101),
+        (CircuitSpec.lc(1e300, 1e-300), 3),  # theta0 = inf
+    ],
+)
+def test_ho_hamiltonian_must_be_finite(spec, dim):
+    with pytest.raises(ConfigError):
+        assemble(spec, HoRep(LengthScale.LC, 101), dim)
 
 
 def test_ho_assembly_rejects_sizes_above_embedding():
@@ -384,6 +403,13 @@ def test_eigensolve_rejects_nonhermitian():
         eigensolve(OperatorMatrix(bad), 1)
 
 
+def test_solver_gate_rejects_a_nan_matrix():
+    # a NaN defect compares false against the tolerance: the gate must not pass it
+    for bad in (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.array([[1.0, np.nan], [np.nan, 1.0]])):
+        with pytest.raises(NumericalError):
+            _solver_matrix(bad)
+
+
 def test_solver_gate_drops_numerically_zero_imaginary_part():
     h = np.array([[1.0, 1e-18j], [-1e-18j, 2.0]])
     assert not np.iscomplexobj(_solver_matrix(h))
@@ -479,3 +505,141 @@ def test_transmon_spectrum_offset_charge_symmetries():
     negated = eigenvalues(CircuitSpec.transmon(0.2, 10.0, -0.5), charge_basis(), 41, 4)
     assert np.abs(base - shifted).max() < 1e-12
     assert np.abs(base - negated).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# ground-level certificate: a split level-0 sweep solves one parity block and
+# proves with one shifted Cholesky factorization that the other lies above
+
+def _with_spectrum(values, seed=0):
+    """A dense symmetric matrix with the given eigenvalues."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(values), len(values))))
+    return (q * values) @ q.T
+
+
+def test_certificate_needs_its_margin():
+    a0, rest = 1.0, np.linspace(2.0, 10.0, 99)
+    delta = _certificate_margin(100, np.linalg.norm(_with_spectrum(np.r_[a0, rest])), a0)
+    assert 0 < delta < 1e-6
+    assert _bounded_below(_with_spectrum(np.r_[a0 + 0.5, rest]), a0)
+    assert _bounded_below(_with_spectrum(np.r_[a0 + 2 * delta, rest]), a0)
+    assert not _bounded_below(_with_spectrum(np.r_[a0 - 1e-3, rest]), a0)
+    assert not _bounded_below(_with_spectrum(np.r_[a0 - delta, rest]), a0)
+    inside = _with_spectrum(np.r_[a0 + delta / 2, rest])
+    assert not _bounded_below(inside, a0)
+    # without the margin one factorization would pass that matrix
+    assert scipy.linalg.lapack.dpotrf(inside - a0 * np.eye(100), lower=True)[1] == 0
+
+
+def test_certificate_reads_the_lower_triangle():
+    # as the eigensolvers do: the other triangle makes an indefinite matrix
+    b = _with_spectrum(np.linspace(2.0, 10.0, 20))
+    garbage = np.full((20, 20), 1e3)
+    assert _bounded_below(np.tril(b) + np.triu(garbage, 1), 1.0)
+    assert not _bounded_below(np.triu(b) + np.tril(garbage, -1), 1.0)
+
+
+def _count_certificates(monkeypatch):
+    calls = {"run": 0, "refused": 0}
+    bounded_below = spectra._bounded_below
+
+    def counting(b, a0):
+        passed = bounded_below(b, a0)
+        calls["run"] += 1
+        calls["refused"] += not passed
+        return passed
+
+    monkeypatch.setattr(spectra, "_bounded_below", counting)
+    return calls
+
+
+_GROUND_SIZES = default_sizes(301)
+_GROUND_POOL = [
+    (spec, rep)
+    for spec, reps in ((FLUXONIUM_CIRCUIT, fluxonium_representations()), (LC_CIRCUIT, lc_representations()))
+    for rep in reps
+    if splits_by_parity(spec, rep)
+]
+
+
+def _pool_id(case):
+    spec, rep = case
+    return f"{spec.family.value}-{rep.label}"
+
+
+@pytest.mark.parametrize("spec, rep", _GROUND_POOL, ids=[_pool_id(c) for c in _GROUND_POOL])
+def test_ground_sweep_equals_the_two_block_merge(spec, rep):
+    got = eigenvalues_by_size(spec, rep, _GROUND_SIZES, 0)
+    want = eigenvalues_by_size_merging_blocks(spec, rep, _GROUND_SIZES, 0)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+# the ground level changes block with the size on the fluxonium charge grids
+# and in the HO basis, and lies in the odd block at every size at 3pi/4
+_ORDER_CASES = [
+    (FLUXONIUM_CIRCUIT, DvrRep(DvrKind.TRADITIONAL_CHARGE, Spacing(1, 5))),
+    (FLUXONIUM_CIRCUIT, DvrRep(DvrKind.TRUNCATED_CHARGE, Spacing(1, 8))),
+    (FLUXONIUM_CIRCUIT, HoRep(LengthScale.LC)),
+    (FLUXONIUM_CIRCUIT, HoRep(LengthScale.PLASMA)),
+    (FLUXONIUM_CIRCUIT, DvrRep(DvrKind.TRADITIONAL_PHASE, Spacing(3, 4, pi=True))),
+    (FLUXONIUM_CIRCUIT, DvrRep(DvrKind.TRUNCATED_PHASE, Spacing(3, 4, pi=True))),
+    (LC_CIRCUIT, DvrRep(DvrKind.TRADITIONAL_PHASE, Spacing(5, 32, pi=True))),
+    (LC_CIRCUIT, DvrRep(DvrKind.TRUNCATED_CHARGE, Spacing(1, 4))),
+]
+
+
+@pytest.mark.parametrize("order", ["descending", "unsorted"])
+@pytest.mark.parametrize("spec, rep", _ORDER_CASES, ids=[_pool_id(c) for c in _ORDER_CASES])
+def test_ground_sweep_values_do_not_depend_on_the_size_order(spec, rep, order):
+    sizes = _GROUND_SIZES[::-1] if order == "descending" else tuple(random.Random(7).sample(_GROUND_SIZES, 150))
+    got = eigenvalues_by_size(spec, rep, sizes, 0)
+    want = eigenvalues_by_size_merging_blocks(spec, rep, sizes, 0)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("frac", [(3, 4), (3, 2)])
+def test_odd_ground_sweep_refuses_at_most_once(monkeypatch, frac):
+    # on these coarse traditional grids the odd block holds the ground level
+    # at every size; the first size tries the even block first
+    rep = DvrRep(DvrKind.TRADITIONAL_PHASE, Spacing(*frac, pi=True))
+    for d in (3, 5, 51, 301):
+        even, odd = (scipy.linalg.eigvalsh(b)[0] for b in _parity_blocks(FLUXONIUM_CIRCUIT, rep, d))
+        assert odd < even
+    calls = _count_certificates(monkeypatch)
+    eigenvalues_by_size(FLUXONIUM_CIRCUIT, rep, _GROUND_SIZES, 0)
+    assert calls["run"] == len(_GROUND_SIZES) and calls["refused"] <= 1
+
+
+def test_certificate_runs_only_for_split_ground_sweeps(monkeypatch, tmp_path):
+    calls = _count_certificates(monkeypatch)
+    sizes = default_sizes(41)
+    # every level-0 size of a split pair takes one certificate
+    eigenvalues_by_size(FLUXONIUM_CIRCUIT, HoRep(LengthScale.LC), sizes, 0)
+    assert calls["run"] == len(sizes)
+    calls["run"] = 0
+    # upto > 0, as `levels --preset fluxonium` asks, solves both blocks
+    doc = {
+        "circuit": FLUXONIUM_CIRCUIT.to_dict(),
+        "representations": [
+            {"type": "dvr", "kind": "traditional_phase", "spacing": {"num": 3, "den": 4, "pi": True}},
+            {"type": "dvr", "kind": "truncated_charge", "spacing": {"num": 1, "den": 8}},
+            {"type": "ho", "scale": "plasma"},
+        ],
+        "sizes": [5, 7, 9, 21, 41],
+        "levels": [0, 1, 2, 3, 4],
+    }
+    (tmp_path / "levels.json").write_text(json.dumps(doc))
+    assert main(["levels", "--config", str(tmp_path / "levels.json"), "--out", str(tmp_path / "x")]) == 0
+    for level in (1, 4):
+        eigenvalues_by_size(LC_CIRCUIT, DvrRep(DvrKind.TRADITIONAL_PHASE, Spacing(5, 32, pi=True)), sizes, level)
+    # pairs that do not split: banded FD and LC HO, the transmon presets at N_g = 1/2
+    for spec, rep in [
+        (LC_CIRCUIT, FdRep(math.pi / 48, 1, Boundary.BOUNDED)),
+        (LC_CIRCUIT, HoRep(LengthScale.LC)),
+        (TRANSMON_LIMIT, charge_basis()),
+        (TRANSMON_LIMIT, DvrRep(DvrKind.TRUNCATED_PHASE, None)),
+        (CHARGE_LIMIT, DvrRep(DvrKind.TRUNCATED_PHASE, None)),
+    ]:
+        assert not splits_by_parity(spec, rep)
+        eigenvalues_by_size(spec, rep, sizes, 0)
+    assert calls["run"] == 0
