@@ -8,6 +8,7 @@ from .convergence import (
     Scale,
     decoherence_R,
     default_sizes,
+    level_metrics,
     metrics,
     saturation_P,
     sweep,

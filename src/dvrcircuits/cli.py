@@ -31,7 +31,7 @@ from .convergence import (
     Scale,
     default_sizes,
     energy_scale,
-    metrics,
+    level_metrics,
     sweep_levels,
 )
 from .dvr import DvrKind, Spacing
@@ -282,7 +282,7 @@ def _rep_columns(rep: Representation) -> tuple[str, object, object, object]:
 
 
 def _write_manifest(out: Path, command: str, config: RunConfig, wall_time: float,
-                    files: list[str]) -> None:
+                    files: list[str], sweeps: list[dict]) -> None:
     doc = config.to_dict()
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     manifest = {
@@ -302,6 +302,9 @@ def _write_manifest(out: Path, command: str, config: RunConfig, wall_time: float
         },
         "wall_time_s": wall_time,
         "files": files,
+        # per (representation, level) of a curve, metrics or levels run: the
+        # path its numbers took ("bisected" or "full") and how many sizes it read
+        "sweeps": sweeps,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
@@ -327,18 +330,18 @@ def _plot_script(out: Path, csv_files: list[str], ylabel: str) -> None:
 # commands
 
 
-def _curves(config: RunConfig, levels: tuple[int, ...]):
-    """(rep, curve) for every rep and level, rep-major; one sweep per rep."""
-    return [
+def _sweep_entry(rep: Representation, level: int, path: str, sizes_solved: int) -> dict:
+    return {"representation": rep.label, "level": level, "path": path, "sizes_solved": sizes_solved}
+
+
+def cmd_curve(config: RunConfig, out: Path, plot: bool) -> tuple[list[str], list[dict]]:
+    curves = [
         (rep, curve)
         for rep in config.representations
-        for curve in sweep_levels(config.circuit, rep, config.sizes, levels, config.scale)
+        for curve in sweep_levels(config.circuit, rep, config.sizes, config.levels, config.scale)
     ]
-
-
-def cmd_curve(config: RunConfig, out: Path, plot: bool) -> list[str]:
-    files = []
-    for rep, curve in _curves(config, config.levels):
+    files, sweeps = [], []
+    for rep, curve in curves:
         name = f"curve_{config.circuit.family.value}_{_slug(rep)}_n{curve.level}.csv"
         rows = [
             (size, float(delta), abs(float(delta)), int(np.sign(delta)) or 1)
@@ -346,9 +349,10 @@ def cmd_curve(config: RunConfig, out: Path, plot: bool) -> list[str]:
         ]
         _write_csv(out / name, ["size", "delta", "abs_delta", "sign"], rows)
         files.append(name)
+        sweeps.append(_sweep_entry(rep, curve.level, "full", len(curve.sizes)))
     if plot:
         _plot_script(out, files, "|Delta| (GHz)")
-    return files
+    return files, sweeps
 
 
 _METRICS_HEADER = [
@@ -357,34 +361,38 @@ _METRICS_HEADER = [
 ]
 
 
-def _write_metrics(config: RunConfig, out: Path, levels: tuple[int, ...], name: str) -> list[str]:
+def _write_metrics(
+    config: RunConfig, out: Path, levels: tuple[int, ...], name: str
+) -> tuple[list[str], list[dict]]:
     threshold = config.threshold_GHz
     if config.scale is Scale.LC_SCALED:
         threshold /= energy_scale(config.circuit)
-    rows = []
-    for rep, curve in _curves(config, levels):
-        record = metrics(curve, threshold)
+    rows, sweeps = [], []
+    for rep in config.representations:
         kind, num, den, pi = _rep_columns(rep)
-        rows.append(
-            (
-                config.circuit.family.value, kind, num, den, pi, curve.level,
-                record.R, record.P, record.P_sign, record.saturated,
-                record.crossed_zero,
+        for result in level_metrics(config.circuit, rep, config.sizes, levels, threshold, config.scale):
+            record = result.record
+            rows.append(
+                (
+                    config.circuit.family.value, kind, num, den, pi, result.level,
+                    record.R, record.P, record.P_sign, record.saturated,
+                    record.crossed_zero,
+                )
             )
-        )
+            sweeps.append(_sweep_entry(rep, result.level, result.path, result.sizes_solved))
     _write_csv(out / name, _METRICS_HEADER, rows)
-    return [name]
+    return [name], sweeps
 
 
-def cmd_metrics(config: RunConfig, out: Path, plot: bool) -> list[str]:
+def cmd_metrics(config: RunConfig, out: Path, plot: bool) -> tuple[list[str], list[dict]]:
     return _write_metrics(config, out, (config.levels[0],), "metrics.csv")
 
 
-def cmd_levels(config: RunConfig, out: Path, plot: bool) -> list[str]:
+def cmd_levels(config: RunConfig, out: Path, plot: bool) -> tuple[list[str], list[dict]]:
     return _write_metrics(config, out, config.levels, "levels.csv")
 
 
-def cmd_decompose(config: RunConfig, out: Path, plot: bool) -> list[str]:
+def cmd_decompose(config: RunConfig, out: Path, plot: bool) -> tuple[list[str], list[dict]]:
     files = []
     dim = max(config.sizes)
     levels = max(config.levels) + 1
@@ -399,10 +407,10 @@ def cmd_decompose(config: RunConfig, out: Path, plot: bool) -> list[str]:
         ]
         _write_csv(out / name, ["level", "alpha", "magnitude_sq_floored"], rows)
         files.append(name)
-    return files
+    return files, []
 
 
-def cmd_shift(config: RunConfig, out: Path, plot: bool) -> list[str]:
+def cmd_shift(config: RunConfig, out: Path, plot: bool) -> tuple[list[str], list[dict]]:
     if config.circuit.family is not Family.FLUXONIUM:
         raise ConfigError("the shift command sweeps fluxonium flux; use a fluxonium circuit")
     phase_reps = [
@@ -426,7 +434,7 @@ def cmd_shift(config: RunConfig, out: Path, plot: bool) -> list[str]:
         name = f"shift_{_slug(rep)}.csv"
         _write_csv(out / name, ["A", "phi", "energy_GHz", "current_over_Ic"], rows)
         files.append(name)
-    return files
+    return files, []
 
 
 COMMANDS = {
@@ -469,8 +477,8 @@ def main(argv: list[str] | None = None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         start = time.monotonic()
-        files = COMMANDS[args.command](config, out, args.emit_plot_script)
-        _write_manifest(out, args.command, config, time.monotonic() - start, files)
+        files, sweeps = COMMANDS[args.command](config, out, args.emit_plot_script)
+        _write_manifest(out, args.command, config, time.monotonic() - start, files, sweeps)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -7,7 +7,7 @@ A sinc-DVR Hamiltonian is a diagonal plus a Hermitian Toeplitz matrix: each
 circuit term is reduced once (:func:`_dvr_terms`) to a function sampled on the
 grid or to the first column of a Toeplitz operator, and both the full matrix
 and the parity blocks are built from that one list.
-:func:`eigenvalues_by_size` serves a sweep over matrix sizes: where every size
+:func:`size_solver` serves a sweep over matrix sizes: where every size
 is a block of the largest (:func:`nested_start`) it assembles once and slices,
 and a narrow-banded matrix is solved on its bands.  A dense Hamiltonian that
 commutes with the parity theta -> -theta (:func:`splits_by_parity`, decided
@@ -453,29 +453,48 @@ def _bounded_below(b: np.ndarray, a0: float) -> bool:
     return scipy.linalg.lapack.dpbtrf(band, lower=True, overwrite_ab=True)[1] == 0
 
 
-def eigenvalues_by_size(
-    spec: CircuitSpec, rep: Representation, sizes: tuple[int, ...], upto: int
-) -> list[np.ndarray]:
-    """Lowest min(upto, d-1)+1 eigenvalues at every size d, in the order given.
+def _eigen_error(m: np.ndarray) -> float:
+    """n eps sqrt(2) ||m||_F for an n x n gated matrix m: a bound on how far an
+    eigenvalue a solver returns for the symmetric matrix of the lower triangle
+    of any principal block of m lies from the exact one (the eigensolver
+    error of :func:`_certificate_margin`, with ||B||_2 <= sqrt(2) ||m||_F)."""
+    # einsum, not np.linalg.norm (see _bounded_below), and on views of m, so
+    # no temporary the size of m; an overflow gives inf, which proves nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = float(np.einsum("ij,ij->", m.real, m.real))
+        if np.iscomplexobj(m):
+            squares += float(np.einsum("ij,ij->", m.imag, m.imag))
+    return m.shape[0] * np.finfo(float).eps * math.sqrt(2.0 * squares)
 
-    A nested representation is assembled and gated once, at the largest size,
-    and every size is solved on its block; any other is assembled per size.
+
+def size_solver(
+    spec: CircuitSpec, rep: Representation, top: int, upto: int
+) -> tuple[Callable[[int], np.ndarray], float | None]:
+    """(solve, eta) for a sweep whose largest size is ``top``: solve(d) is the
+    lowest min(upto, d-1)+1 eigenvalues at size d.
+
+    A nested representation is assembled and gated once, at ``top``, and
+    every size is solved on its block; any other is assembled per size.
     Where :func:`splits_by_parity` holds, the same is done with the even and
     odd blocks, and each size merges the lowest values of its two blocks.
 
-    A split sweep for the ground level alone (upto == 0) solves first the
-    block that held the ground level at the previous size (the even block at
+    A split solve for the ground level alone (upto == 0) solves first the
+    block that held the ground level at the previous call (the even block at
     the first) for its lowest value a0, and the other block is solved only if
     :func:`_bounded_below` cannot prove that the value its solver would return
-    is >= a0 (the parity blocks are real).  A passed certificate bounds that block's lowest eigenvalue by
-    a0 + delta - ||E||_2, and delta covers the Cholesky backward error E and
-    the block's own eigensolver error (:func:`_certificate_margin`), so the
-    merge of both blocks' lowest values would pick a0 too: the values are
-    those of the full two-block merge, bit for bit.
+    is >= a0 (the parity blocks are real).  A passed certificate bounds that
+    block's lowest eigenvalue by a0 + delta - ||E||_2, and delta covers the
+    Cholesky backward error E and the block's own eigensolver error
+    (:func:`_certificate_margin`), so the merge of both blocks' lowest values
+    would pick a0 too: the values are those of the full two-block merge, bit
+    for bit, in whatever order the sizes are solved.
+
+    ``eta`` is None unless the representation is nested.  Then every matrix
+    solved is a principal block of the gated matrices at ``top``, and eta
+    bounds, for every value solve returns, the distance to the exact
+    eigenvalue of the (merged) blocks' lower-triangle symmetric matrices;
+    with a certified a0 the other block's exact lowest eigenvalue is >= a0.
     """
-    if not sizes:
-        raise ConfigError("empty size list")
-    top = max(sizes)
     split = splits_by_parity(spec, rep)
 
     def solvers(d: int) -> tuple[list[np.ndarray], list[Callable[[int, int, int], np.ndarray]]]:
@@ -485,31 +504,43 @@ def eigenvalues_by_size(
 
     nested = nested_start(rep, top, top) is not None
     shared = solvers(top) if nested else None
-    held = 0  # the block that held the ground level at the previous size
-    out = []
-    for d in sizes:
+    eta = max(_eigen_error(m) for m in shared[0]) if nested else None
+    held = 0  # the block that held the ground level at the previous call
+
+    def solve(d: int) -> np.ndarray:
+        nonlocal held
         start = nested_start(rep, top, d) if nested else 0
-        matrices, solve = shared if nested else solvers(d)
+        matrices, solvers_d = shared if nested else solvers(d)
         k = min(upto, d - 1)
         if not split:
-            out.append(solve[0](start, d, k))
-            continue
+            return solvers_d[0](start, d, k)
         # the blocks of H(d) lead those of H(top)
         half = ((d + 1) // 2, d // 2)
         if upto == 0 and half[1]:
             other = 1 - held
-            a0 = solve[held](0, half[held], 0)
+            a0 = solvers_d[held](0, half[held], 0)
             n = half[other]
             if _bounded_below(matrices[other][:n, :n], float(a0[0])):
-                out.append(a0)
-                continue
-            b0 = solve[other](0, n, 0)
+                return a0
+            b0 = solvers_d[other](0, n, 0)
             held = other if b0[0] < a0[0] else held
             parts = (a0, b0) if other else (b0, a0)
         else:
-            parts = [block(0, n, min(k, n - 1)) for block, n in zip(solve, half) if n]
-        out.append(np.sort(np.concatenate(parts))[: k + 1])
-    return out
+            parts = [block(0, n, min(k, n - 1)) for block, n in zip(solvers_d, half) if n]
+        return np.sort(np.concatenate(parts))[: k + 1]
+
+    return solve, eta
+
+
+def eigenvalues_by_size(
+    spec: CircuitSpec, rep: Representation, sizes: tuple[int, ...], upto: int
+) -> list[np.ndarray]:
+    """Lowest min(upto, d-1)+1 eigenvalues at every size d, in the order given,
+    from one :func:`size_solver` built at the largest size."""
+    if not sizes:
+        raise ConfigError("empty size list")
+    solve, _ = size_solver(spec, rep, max(sizes), upto)
+    return [solve(d) for d in sizes]
 
 
 def eigenvalues(spec: CircuitSpec, rep: Representation, dim: int, upto: int) -> np.ndarray:

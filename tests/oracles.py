@@ -57,17 +57,18 @@ def conj_moment_truncated_direct(basis: DvrBasis, power: int) -> OperatorMatrix:
     M, d = basis.M, basis.dim
     dy = basis.conjugate_spacing
     sign = -1.0 if basis.kind.is_phase else 1.0
-    entries = np.empty((d, d), dtype=complex)
-    for a in range(-M, M + 1):
-        for b in range(-M, M + 1):
-            # compensated accumulation: the terms cancel heavily for a != b;
-            # n*(a-b) is reduced mod d in integers so the phase carries no
-            # rounding that grows with M
-            phases = [(n, 2.0 * math.pi * (n * (a - b) % d) / d) for n in range(-M, M + 1)]
-            re = math.fsum((n * dy) ** power * math.cos(t) for n, t in phases)
-            im = math.fsum((n * dy) ** power * sign * math.sin(t) for n, t in phases)
-            entries[a + M, b + M] = complex(re, im) / d
-    return OperatorMatrix(entries)
+    # an entry depends only on k = a - b: one sum per k in [-2M, 2M]
+    by_difference = np.empty(4 * M + 1, dtype=complex)
+    for k in range(-2 * M, 2 * M + 1):
+        # compensated accumulation: the terms cancel heavily for k != 0;
+        # n*k is reduced mod d in integers so the phase carries no rounding
+        # that grows with M
+        phases = [(n, 2.0 * math.pi * (n * k % d) / d) for n in range(-M, M + 1)]
+        re = math.fsum((n * dy) ** power * math.cos(t) for n, t in phases)
+        im = math.fsum((n * dy) ** power * sign * math.sin(t) for n, t in phases)
+        by_difference[k + 2 * M] = complex(re, im) / d
+    a = np.arange(d)
+    return OperatorMatrix(by_difference[a[:, None] - a + 2 * M])
 
 
 def _dvr_term_operator(basis: DvrBasis, term: HamiltonianTerm) -> OperatorMatrix:

@@ -27,9 +27,11 @@ from dvrcircuits.convergence import (
     decoherence_R,
     default_sizes,
     energy_scale,
+    level_metrics,
     metrics,
     saturation_P,
     sweep,
+    sweep_levels,
 )
 from dvrcircuits.dvr import (
     DvrBasis,
@@ -51,7 +53,7 @@ from dvrcircuits.presets import (
     fd_representations,
     transmon_representations,
 )
-from dvrcircuits.spectra import DvrRep, HoRep, assemble, eigensolve
+from dvrcircuits.spectra import DvrRep, HoRep, assemble, eigensolve, nested_start
 from dvrcircuits.ho import HoBasis, LengthScale, cos_in_ho
 from dvrcircuits.states import ShiftSpec, StateVector, apply_shift, decompose, shift_operator
 from dvrcircuits.fdm import fd_coefficients
@@ -71,34 +73,51 @@ def _lc_curve(kind, frac, largest=301):
     return sweep(LC_CIRCUIT, rep, default_sizes(largest), 0, Scale.LC_SCALED)
 
 
+def _scan_metrics(spec, rep, threshold, scale, bisected, key):
+    """Metrics of the level-0 sweep over d = 3-301.  A nested pair runs
+    ``level_metrics`` first: where it bisected, its record goes to
+    ``bisected`` and the full sweep is run for comparison; where it fell
+    back, its record already is that of the full sweep."""
+    sizes = default_sizes(301)
+    if nested_start(rep, max(sizes), max(sizes)) is not None:
+        (result,) = level_metrics(spec, rep, sizes, (0,), threshold, scale)
+        if result.path == "full":
+            return result.record
+        bisected[key] = result.record
+    return metrics(sweep(spec, rep, sizes, 0, scale), threshold)
+
+
 @pytest.fixture(scope="module")
 def lc_scan():
-    """R per (kind, grid) over the full LC preset lists."""
-    out = {}
+    """R per (kind, grid) over the full LC preset lists, and the bisected
+    records of the nested grids."""
+    out, bisected = {}, {}
     for kind in DvrKind:
         grids = PHASE_GRIDS if kind.is_phase else LC_CHARGE_GRIDS
         for frac in grids:
-            curve = _lc_curve(kind, frac)
-            out[(kind, frac)] = metrics(curve, LC_THRESHOLD)
-    return out
+            rep = DvrRep(kind, Spacing(frac.numerator, frac.denominator, pi=kind.is_phase))
+            out[(kind, frac)] = _scan_metrics(LC_CIRCUIT, rep, LC_THRESHOLD, Scale.LC_SCALED, bisected, (kind, frac))
+    return out, bisected
 
 
 @pytest.fixture(scope="module")
 def fluxonium_scan():
-    """Ground-state metrics for every fluxonium preset representation, timed."""
+    """Ground-state metrics for every fluxonium preset representation, timed,
+    and the bisected records of the nested ones."""
     start = time.monotonic()
-    out = {}
+    out, bisected = {}, {}
+    reps = {}
     for kind in (DvrKind.TRADITIONAL_PHASE, DvrKind.TRUNCATED_PHASE):
         for frac in PHASE_GRIDS:
-            rep = DvrRep(kind, Spacing(frac.numerator, frac.denominator, pi=True))
-            out[(kind, frac)] = metrics(sweep(FLUXONIUM_CIRCUIT, rep, default_sizes(301), 0))
+            reps[(kind, frac)] = DvrRep(kind, Spacing(frac.numerator, frac.denominator, pi=True))
     for kind in (DvrKind.TRADITIONAL_CHARGE, DvrKind.TRUNCATED_CHARGE):
         for frac in FLUXONIUM_CHARGE_GRIDS:
-            rep = DvrRep(kind, Spacing(frac.numerator, frac.denominator))
-            out[(kind, frac)] = metrics(sweep(FLUXONIUM_CIRCUIT, rep, default_sizes(301), 0))
+            reps[(kind, frac)] = DvrRep(kind, Spacing(frac.numerator, frac.denominator))
     for scale in LengthScale:
-        out[("ho", scale)] = metrics(sweep(FLUXONIUM_CIRCUIT, HoRep(scale), default_sizes(301), 0))
-    return out, time.monotonic() - start
+        reps[("ho", scale)] = HoRep(scale)
+    for key, rep in reps.items():
+        out[key] = _scan_metrics(FLUXONIUM_CIRCUIT, rep, 1e-6, Scale.ABSOLUTE, bisected, key)
+    return out, time.monotonic() - start, bisected
 
 
 def test_criterion_1_lc_exactness():
@@ -124,10 +143,11 @@ def test_criterion_1_lc_exactness():
 
 
 def test_criterion_2_lc_cutoffs(lc_scan):
+    scan, _ = lc_scan
     largest = {}
     for kind in DvrKind:
         grids = PHASE_GRIDS if kind.is_phase else LC_CHARGE_GRIDS
-        achieved = [f for f in grids if lc_scan[(kind, f)].R is not None]
+        achieved = [f for f in grids if scan[(kind, f)].R is not None]
         largest[kind] = max(achieved)
     ok = (
         largest[DvrKind.TRADITIONAL_CHARGE] == Fraction(9, 20)
@@ -158,7 +178,7 @@ def test_criterion_3_lc_fdm_single_crossing():
 
 
 def test_criterion_4_fluxonium_R(fluxonium_scan):
-    scan, elapsed = fluxonium_scan
+    scan, elapsed, _ = fluxonium_scan
     r_ho = scan[("ho", LengthScale.LC)].R
     r_plasma = scan[("ho", LengthScale.PLASMA)].R
     # "best" counts only grids whose accuracy stays below the threshold; the
@@ -182,7 +202,7 @@ def test_criterion_4_fluxonium_R(fluxonium_scan):
 
 
 def test_criterion_5_fluxonium_cutoffs(fluxonium_scan):
-    scan, _ = fluxonium_scan
+    scan, _, _ = fluxonium_scan
     ok = True
     # charge DVRs: no grid with dN > 0.25 reaches decoherence accuracy
     for kind in (DvrKind.TRADITIONAL_CHARGE, DvrKind.TRUNCATED_CHARGE):
@@ -289,3 +309,55 @@ def test_criterion_8_nonvariational_sign():
         f"sign at saturation is eigensolver roundoff)",
     )
     assert ok
+
+
+# Metrics by bisection (convergence.level_metrics) on the nested preset pairs:
+# the same records as the full sweeps above, field by field.
+
+
+def _bisected(spec, rep, sizes, levels, threshold, scale):
+    """level_metrics of a nested pair, and how many of its levels it bisected."""
+    assert nested_start(rep, max(sizes), max(sizes)) is not None
+    results = level_metrics(spec, rep, sizes, levels, threshold, scale)
+    return [r.record for r in results], sum(r.path == "bisected" for r in results)
+
+
+def test_bisected_lc_metrics_equal_the_scan(lc_scan):
+    scan, bisected = lc_scan
+    assert len(bisected) >= 20
+    for key, record in bisected.items():
+        assert record == scan[key], key
+
+
+def test_bisected_fluxonium_metrics_equal_the_scan(fluxonium_scan):
+    scan, _, bisected = fluxonium_scan
+    assert len(bisected) >= 20
+    for key, record in bisected.items():
+        assert record == scan[key], key
+
+
+@pytest.mark.parametrize(
+    "rep",
+    [
+        DvrRep(DvrKind.TRADITIONAL_PHASE, Spacing(1, 8, pi=True)),
+        DvrRep(DvrKind.TRADITIONAL_PHASE, Spacing(5, 16, pi=True)),
+        DvrRep(DvrKind.TRADITIONAL_CHARGE, Spacing(1, 9)),
+    ],
+    ids=lambda rep: rep.label,
+)
+def test_bisected_fluxonium_levels_equal_the_full_sweep(rep):
+    levels = (0, 1, 2, 3, 4)
+    got, _ = _bisected(FLUXONIUM_CIRCUIT, rep, default_sizes(301), levels, 1e-6, Scale.ABSOLUTE)
+    assert got == [metrics(c) for c in sweep_levels(FLUXONIUM_CIRCUIT, rep, default_sizes(301), levels)]
+
+
+def test_bisected_lc_fd_levels_equal_the_full_sweep():
+    # every other preset grid, the one that crosses among them, and every
+    # fourth preset size, as the lc-fd-levels benchmark asks
+    sizes, levels, bisected = default_sizes(599, stride=4), (0, 1, 2), 0
+    for rep in fd_representations()[1::2]:
+        got, n = _bisected(LC_CIRCUIT, rep, sizes, levels, LC_THRESHOLD, Scale.LC_SCALED)
+        curves = sweep_levels(LC_CIRCUIT, rep, sizes, levels, Scale.LC_SCALED)
+        assert got == [metrics(c, LC_THRESHOLD) for c in curves], rep.label
+        bisected += n
+    assert bisected >= 20

@@ -6,9 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dvrcircuits.cli import (
+    _METRICS_HEADER,
     COMMANDS,
     PRESETS,
     RunConfig,
+    _rep_columns,
+    _write_csv,
     config_from_dict,
     load_config,
     main,
@@ -17,7 +20,7 @@ from dvrcircuits.cli import (
     rep_to_dict,
 )
 from dvrcircuits.circuits import CircuitSpec
-from dvrcircuits.convergence import Scale
+from dvrcircuits.convergence import Scale, metrics, sweep_levels
 from dvrcircuits.dvr import DvrBasis, DvrKind, Spacing
 from dvrcircuits.errors import ConfigError
 from dvrcircuits.fdm import Boundary
@@ -251,6 +254,62 @@ def test_manifest_contents(tmp_path, monkeypatch):
     assert set(threads) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
     assert threads["OPENBLAS_NUM_THREADS"] == "1"
     assert threads["MKL_NUM_THREADS"] is None
+
+
+MIXED_CONFIG = {
+    "circuit": FLUXONIUM_CIRCUIT.to_dict(),
+    "representations": [
+        {"type": "dvr", "kind": "traditional_phase", "spacing": {"num": 7, "den": 32, "pi": True}},
+        {"type": "dvr", "kind": "truncated_phase", "spacing": {"num": 7, "den": 32, "pi": True}},
+        {"type": "dvr", "kind": "traditional_charge", "spacing": {"num": 1, "den": 12}},
+        {"type": "ho", "scale": "lc"},
+    ],
+    "sizes": {"largest": 101},
+    "levels": [0, 1, 2],
+}
+
+
+@pytest.mark.parametrize("command, csv", [("metrics", "metrics.csv"), ("levels", "levels.csv")])
+def test_metrics_csvs_equal_those_of_the_full_sweeps(tmp_path, command, csv):
+    config = config_from_dict(MIXED_CONFIG)
+    levels = config.levels if command == "levels" else config.levels[:1]
+    rows, sweeps = [], []
+    for rep in config.representations:
+        for curve in sweep_levels(config.circuit, rep, config.sizes, levels):
+            record = metrics(curve)
+            rows.append(
+                ("fluxonium", *_rep_columns(rep), curve.level, record.R, record.P,
+                 record.P_sign, record.saturated, record.crossed_zero)
+            )
+            sweeps.append((rep.label, curve.level, len(curve.sizes)))
+    _write_csv(tmp_path / "want.csv", _METRICS_HEADER, rows)
+    out = tmp_path / "out"
+    assert main([command, "--config", _write_config(tmp_path, MIXED_CONFIG), "--out", str(out)]) == 0
+    assert (out / csv).read_bytes() == (tmp_path / "want.csv").read_bytes()
+    entries = json.loads((out / "manifest.json").read_text())["sweeps"]
+    assert [(e["representation"], e["level"]) for e in entries] == [s[:2] for s in sweeps]
+    for entry, (label, _, count) in zip(entries, sweeps):
+        if label.startswith("truncated"):
+            assert entry["path"] == "full"
+        if entry["path"] == "full":
+            assert entry["sizes_solved"] == count
+        else:
+            assert entry["path"] == "bisected" and entry["sizes_solved"] < count
+    assert {e["path"] for e in entries} == {"bisected", "full"}
+
+
+def test_manifest_records_the_path_of_every_curve(tmp_path):
+    cfg = _write_config(tmp_path, dict(LC_CONFIG, levels=[0, 1]))
+    for command in ("curve", "decompose"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        entries = json.loads((out / "manifest.json").read_text())["sweeps"]
+        if command == "decompose":
+            assert entries == []
+            continue
+        assert [(e["level"], e["path"], e["sizes_solved"]) for e in entries] == [
+            (0, "full", 20), (1, "full", 20), (0, "full", 20), (1, "full", 20)
+        ]
 
 
 def test_plot_script_emission(tmp_path):

@@ -3,14 +3,19 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from dvrcircuits import convergence
 from dvrcircuits.circuits import CircuitSpec
 from dvrcircuits.convergence import (
     ConvergenceCurve,
     Scale,
+    bisect_metrics,
     decoherence_R,
     default_sizes,
     energy_scale,
+    level_metrics,
     metrics,
     saturation_P,
     sweep,
@@ -263,3 +268,95 @@ def test_sliced_dense_sweep_equals_per_size_solves_exactly(spec, rep):
         ref = reference_energy(spec, curve.level)
         want = [lowest_three(d)[curve.level] - ref for d in curve.sizes]
         assert np.array_equal(curve.deltas, want)
+
+
+@st.composite
+def _noisy_monotone_curves(draw):
+    """(exact, noise, threshold, eta) in units of 1/8: exact values that do
+    not increase, each moved by a noise of at most eta.  All values are small
+    integers, so every delta is exact and the curve often sits on the
+    threshold, on -threshold or on 0; the noise is often +-eta."""
+    n = draw(st.integers(5, 12))
+    eta = draw(st.integers(0, 2))
+    threshold = draw(st.integers(1, 3))
+    exact = sorted(draw(st.lists(st.integers(-7, 9), min_size=n, max_size=n)), reverse=True)
+    noise = draw(st.lists(st.sampled_from([-eta, eta]) | st.integers(-eta, eta), min_size=n, max_size=n))
+    return exact, noise, threshold, eta
+
+
+# each pinned case is one that the guard named in its comment would get
+# wrong without its 2 eta margin
+@settings(max_examples=100, deadline=None)
+@given(_noisy_monotone_curves())
+@example(([7, 4, 3, -2, -6], [2, -2, 0, 2, 0], 3, 2))  # delta just before R
+@example(([8, 4, 0, -1, -6], [2, 2, -2, 2, -1], 2, 2))  # delta at R: a jump across the band
+@example(([6, 5, 4, 3, 3], [1, 2, 0, -2, 2], 3, 2))  # R = None from the last delta
+@example(([-2, -3, -4, -5, -7], [-1, 1, 0, 0, 0], 3, 1))  # R = None from the first delta
+@example(([7, 6, 5, 1, 0], [0, -2, 2, -2, 2], 3, 2))  # no zero crossing, positive ends
+@example(([0, 0, 0, -1, -7], [-1, 0, 1, -1, -1], 3, 1))  # no zero crossing, negative ends
+def test_bisection_falls_back_or_equals_the_full_metrics(case):
+    exact, noise, threshold, eta = case
+    curve = _curve((np.array(exact) + np.array(noise)) / 8.0)
+    record = bisect_metrics(curve.sizes, lambda i: curve.deltas[i], threshold / 8.0, eta / 8.0)
+    assert record is None or record == metrics(curve, threshold / 8.0)
+
+
+def test_bisection_settles_an_exactly_monotone_curve():
+    curve = _curve(np.linspace(3.0, -0.5, 150) ** 3)
+    record = bisect_metrics(curve.sizes, lambda i: curve.deltas[i], 0.25, 0.0)
+    assert record == metrics(curve, 0.25)
+    assert record.R is not None and record.crossed_zero
+
+
+def _counting_size_solver(monkeypatch):
+    solved = []
+    size_solver = convergence.size_solver
+
+    def counting(*args):
+        solve, eta = size_solver(*args)
+
+        def counted(d):
+            solved.append(d)
+            return solve(d)
+
+        return counted, eta
+
+    monkeypatch.setattr(convergence, "size_solver", counting)
+    return solved
+
+
+def test_a_nested_pair_is_bisected_and_a_truncated_one_solves_every_size(monkeypatch):
+    sizes = default_sizes(301)
+    solved = _counting_size_solver(monkeypatch)
+    nested = DvrRep(DvrKind.TRADITIONAL_PHASE, Spacing(1, 8, pi=True))
+    (got,) = level_metrics(FLUXONIUM, nested, sizes, (0,))
+    assert got.path == "bisected" and got.sizes_solved == len(solved)
+    assert len(solved) == len(set(solved)) <= 2 * math.ceil(math.log2(len(sizes))) + 5
+    solved.clear()
+    truncated = DvrRep(DvrKind.TRUNCATED_PHASE, Spacing(1, 8, pi=True))
+    (got,) = level_metrics(FLUXONIUM, truncated, sizes, (0,))
+    assert got.path == "full" and got.sizes_solved == len(sizes)
+    assert sorted(solved) == list(sizes)
+
+
+def test_levels_share_each_solved_size(monkeypatch):
+    sizes = default_sizes(101)
+    solved = _counting_size_solver(monkeypatch)
+    rep = DvrRep(DvrKind.TRADITIONAL_CHARGE, Spacing(1, 5))
+    results = level_metrics(FLUXONIUM, rep, sizes, (0, 1, 2))
+    assert len(solved) == len(set(solved))
+    for result, curve in zip(results, sweep_levels(FLUXONIUM, rep, sizes, (0, 1, 2))):
+        assert result.level == curve.level
+        assert result.record == metrics(curve)
+
+
+def test_level_metrics_raises_what_metrics_raises():
+    rep = DvrRep(DvrKind.TRADITIONAL_CHARGE, Spacing(1, 4))
+    with pytest.raises(ConfigError, match="at least 5"):
+        level_metrics(LC, rep, default_sizes(9), (0,))
+    with pytest.raises(ConfigError, match="at least 5"):
+        level_metrics(LC, rep, default_sizes(41), (0, 37))
+    with pytest.raises(ConfigError, match="threshold must be positive"):
+        level_metrics(LC, rep, default_sizes(41), (0,), threshold=0.0)
+    with pytest.raises(ConfigError, match="ascending"):
+        level_metrics(LC, rep, (41, 31, 21, 11, 9, 7), (0,))
