@@ -8,8 +8,11 @@ conditions (e.g. 1/dN for the cosine tunneling bands) are decided exactly.
 
 Operators that are functions of the discretized variable are diagonal
 (the DVR diagonal approximation).  Moments of the conjugate variable use
-closed-form infinite-grid elements for the traditional kinds and a centered
-discrete Fourier transform for the truncated kinds.
+closed-form infinite-grid elements for the traditional kinds and the
+closed-form periodic-grid sums of the centered discrete Fourier transform for
+the truncated kinds; any other function of the conjugate variable goes
+through one FFT.  Every operator that is real in exact arithmetic is built
+with a real dtype.
 """
 
 from __future__ import annotations
@@ -179,7 +182,7 @@ def traditional_moment_elements(basis: DvrBasis, power: int, diff: np.ndarray) -
     # a numpy power (the same libm pow) overflows to inf, not to OverflowError,
     # so the caller's finiteness check sees it
     diag = np.float64(basis.conjugate_bound) ** 2 / 3.0
-    return np.where(diff == 0, diag, off).astype(complex)
+    return np.where(diff == 0, diag, off)
 
 
 def conj_moment_traditional(basis: DvrBasis, power: int) -> OperatorMatrix:
@@ -208,6 +211,8 @@ def conj_function_truncated(basis: DvrBasis, g: Callable[[np.ndarray], np.ndarra
     unitary centered discrete Fourier transform F, so the represented operator
     is F^dag diag(g(y_n)) F with y_n = n * conjugate_spacing.  The result is
     circulant; only its first column is computed, by one FFT of length d.
+    The moments (y - offset)^1 and ^2 have closed forms
+    (:func:`truncated_moment_column`).
     """
     return OperatorMatrix(scipy.linalg.circulant(truncated_column(basis, g)))
 
@@ -227,22 +232,72 @@ def truncated_column(basis: DvrBasis, g: Callable[[np.ndarray], np.ndarray]) -> 
     # finite sum for N-hat and charge kinds the analogous sum for theta-hat;
     # ifftshift puts n = 0 first, so the sum over n is a DFT of length d.
     wrapped = np.fft.ifftshift(values)
-    col = np.fft.fft(wrapped) / d if basis.kind.is_phase else np.fft.ifft(wrapped)
-    # col[k] and conj(col[d-k]) are computed independently and can differ by a
-    # rounding ulp; average so the analytically Hermitian result is exactly so.
-    return 0.5 * (col + np.roll(col[::-1], 1).conj())
+    with np.errstate(over="ignore", invalid="ignore"):
+        col = np.fft.fft(wrapped) / d if basis.kind.is_phase else np.fft.ifft(wrapped)
+        # col[k] and conj(col[d-k]) are computed independently and can differ
+        # by a rounding ulp; average so the analytically Hermitian result is
+        # exactly so.
+        col = 0.5 * (col + np.roll(col[::-1], 1).conj())
+    if not np.all(np.isfinite(col)):
+        raise ConfigError("the transform of the function overflows on the conjugate grid")
+    return col
+
+
+def truncated_moment_column(basis: DvrBasis, power: int, offset: float = 0.0) -> np.ndarray:
+    """First column of (y - offset)^power, power 1 or 2, of the conjugate
+    variable y in a truncated DVR, indexed by (alpha - beta) mod d: the column
+    of :func:`truncated_column` for that g, from closed forms instead of a DFT.
+
+    With s the conjugate spacing, k' = min(k, d - k) and x = pi k' / d, the
+    periodic-grid sums (Colbert & Miller, J. Chem. Phys. 96, 1982 (1992),
+    App. A) are
+        (1/d) sum_n (n s)^2 cos(2 pi k n / d) = s^2 (-1)^k' cos x / (2 sin^2 x),
+        (1/d) sum_n n s sin(2 pi k n / d) = +-s (-1)^(k'+1) / (2 sin x),
+    with s^2 M (M + 1) / 3 and 0 at k = 0, and + for k <= M in the second.
+    The sine sum enters with the exponent sign of :func:`truncated_column`
+    (-i for phase kinds, +i for charge kinds).  Both arguments, x and
+    pi/2 - x = pi (d - 2k') / (2d), are at most pi/2, so cos x = sin(pi/2 - x)
+    keeps every entry within a few ulp of the exact sum.  The column is
+    Hermitian (col[d - k] = conj(col[k])) by construction, real for
+    (y - offset)^2 at offset 0 and imaginary off the diagonal for power 1.
+    No entry exceeds the largest (y - offset)^power on the grid, and none
+    overflows while that is finite; an entry that does is inf or nan, and
+    the callers check.
+    """
+    if not basis.kind.is_truncated:
+        raise ConfigError("truncated_moment_column requires a truncated kind")
+    if power not in (1, 2):
+        raise ConfigError(f"power must be 1 or 2, got {power}")
+    M, d, s = basis.M, basis.dim, basis.conjugate_spacing
+    k = np.arange(1, M + 1)  # k' = k up to M; entry d - k mirrors entry k
+    alternating = np.where(k % 2 == 0, 1.0, -1.0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sin = np.sin(np.pi * (2 * k) / (2 * d))
+        col = np.empty(d, dtype=complex if power == 1 or offset else float)
+        if power == 1:
+            col[0] = -offset
+            col[1:].real = 0.0
+        else:
+            col[0] = (s * M) * (s * (M + 1) / 3.0) + offset * offset
+            cos = np.sin(np.pi * (d - 2 * k) / (2 * d))
+            col[1 : M + 1] = (s * s) * alternating * cos / (2.0 * sin * sin)
+            col[M + 1 :] = col[M:0:-1].real
+        if power == 1 or offset:
+            # the sine sum with the exponent's sign, times -2 offset in (y - offset)^2
+            imag = (-1.0 if basis.kind.is_phase else 1.0) * -alternating * s / (2.0 * sin)
+            if power == 2:
+                imag *= -2.0 * offset
+            col[1 : M + 1].imag = imag
+            col[M + 1 :].imag = -imag[::-1]
+        return col
 
 
 def conj_moment_truncated(basis: DvrBasis, power: int) -> OperatorMatrix:
-    """First or second conjugate moment of a truncated DVR (DFT construction)."""
-    if power not in (1, 2):
-        raise ConfigError(f"power must be 1 or 2, got {power}")
-    # y ** power may overflow on the conjugate grid (truncated_column rejects
-    # it) and the transform of finite values may still overflow (checked here)
-    with np.errstate(over="ignore", invalid="ignore"):
-        op = conj_function_truncated(basis, lambda y: y ** power)
-    _check_finite_moment(basis, op.entries)
-    return op
+    """First or second conjugate moment of a truncated DVR: the circulant of
+    the closed-form :func:`truncated_moment_column`."""
+    col = truncated_moment_column(basis, power)
+    _check_finite_moment(basis, col)
+    return OperatorMatrix(scipy.linalg.circulant(col))
 
 
 def _check_finite_moment(basis: DvrBasis, entries: np.ndarray) -> None:
@@ -253,9 +308,10 @@ def _check_finite_moment(basis: DvrBasis, entries: np.ndarray) -> None:
         )
 
 
-def cosine_band(basis: DvrBasis, A: float, sign: int = +1) -> tuple[int, complex]:
+def cosine_band(basis: DvrBasis, A: float, sign: int = +1) -> tuple[int, float | complex]:
     """(k, u): cos(theta +/- 2*pi*A) in a charge DVR with integer k = 1/dN is u
-    at (alpha, alpha + k) and conj(u) at (alpha + k, alpha)."""
+    at (alpha, alpha + k) and conj(u) at (alpha + k, alpha).  u = +-1/2 is real
+    when 2A is an integer, where exp(+-2 pi i A) = (-1)^(2A) exactly."""
     if basis.kind.is_phase:
         raise ConfigError("cosine_in_charge requires a charge kind")
     if sign not in (+1, -1):
@@ -266,6 +322,8 @@ def cosine_band(basis: DvrBasis, A: float, sign: int = +1) -> tuple[int, complex
             f"cosine in a charge DVR needs integer 1/dN; got dN = {frac}"
             + (" * pi" if basis.spacing.pi else "")
         )
+    if float(2 * A).is_integer():
+        return frac.denominator, 0.5 if float(A).is_integer() else -0.5
     return frac.denominator, 0.5 * np.exp(sign * 2j * np.pi * A)
 
 
@@ -280,7 +338,7 @@ def cosine_in_charge(basis: DvrBasis, A: float, sign: int = +1) -> OperatorMatri
     d = basis.dim
     # For d <= k both bands fall outside the matrix and the tunneling term
     # contributes nothing (the index ranges below are empty).
-    entries = np.zeros((d, d), dtype=complex)
+    entries = np.zeros((d, d), dtype=np.result_type(upper))
     rows = np.arange(d - k)
     entries[rows, rows + k] = upper
     entries[rows + k, rows] = np.conj(upper)

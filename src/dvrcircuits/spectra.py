@@ -9,10 +9,12 @@ grid or to the first column of a Toeplitz operator, and both the full matrix
 and the parity blocks are built from that one list.
 :func:`size_solver` serves a sweep over matrix sizes: where every size
 is a block of the largest (:func:`nested_start`) it assembles once and slices,
-and a narrow-banded matrix is solved on its bands.  A dense Hamiltonian that
+a narrow-banded matrix is solved on its bands, and a dense block with one
+direct LAPACK call (:func:`_lowest_values`).  A dense Hamiltonian that
 commutes with the parity theta -> -theta (:func:`splits_by_parity`, decided
 from the circuit) is solved as an even and an odd block of half the size; a
-DVR builds them on the half grid as Toeplitz +- Hankel plus the diagonal.
+DVR builds them on the half grid as Toeplitz +- Hankel, strided views of the
+summed column, plus the diagonal.
 A sweep for the ground level alone solves one of the two blocks and proves
 with one shifted Cholesky factorization (:func:`_bounded_below`) that the
 other has nothing lower, solving it only when that proof fails.
@@ -39,7 +41,7 @@ from .dvr import (
     cosine_band,
     grid_points,
     traditional_moment_elements,
-    truncated_column,
+    truncated_moment_column,
 )
 from .errors import ConfigError, IncompatibleRepresentationError, NumericalError
 from .fdm import Boundary, FdGrid, fd_hamiltonian
@@ -167,8 +169,11 @@ def _dvr_terms(spec: CircuitSpec, basis: DvrBasis) -> list[tuple[bool, np.ndarra
     its value at grid point alpha.  A function of the conjugate variable
     depends only on n = alpha - beta: (True, t), t[n] for n >= 0 the first
     column of a Hermitian Toeplitz matrix.  That is the closed form on a
-    traditional grid, and on a truncated grid the circulant's column, which is
-    exactly Hermitian (t[n] = conj(t[d - n])), so the circulant is Toeplitz.
+    traditional grid, and on a truncated grid the circulant's closed-form
+    column (:func:`dvr.truncated_moment_column`), which is exactly Hermitian
+    (t[n] = conj(t[d - n])), so the circulant is Toeplitz.  Every t and v is
+    real except the transmon's 2*pi/d grid at N_g != 0 and a charge grid's
+    cosine band at 2A not an integer.
     ConfigError unless twice the sum of the terms' largest magnitudes is
     finite: that bounds every entry of the full matrix and of the parity
     blocks, where each entry adds at most two entries of each term.
@@ -186,7 +191,7 @@ def _dvr_terms(spec: CircuitSpec, basis: DvrBasis) -> list[tuple[bool, np.ndarra
                 k, upper = cosine_band(basis, term.flux, term.sign)
                 values = np.where(n == k, np.conj(upper), 0.0)
             elif basis.kind.is_truncated:
-                values = truncated_column(basis, lambda y: (y - term.offset) ** 2)
+                values = truncated_moment_column(basis, 2, term.offset)
             else:  # an offset N_g arises only for the transmon, never on this grid
                 values = traditional_moment_elements(basis, 2, n)
             reduced.append((not on_grid, term.coefficient * values))
@@ -247,10 +252,11 @@ def _solver_matrix(h: np.ndarray) -> np.ndarray:
     defect fails the comparison too), then drop a numerically-zero imaginary
     part so LAPACK takes the real path."""
     tol = HERMITICITY_RTOL * max(float(np.abs(h).max(initial=0.0)), 1.0)
-    defect = float(np.abs(h - h.conj().T).max(initial=0.0))
+    complex_h = np.iscomplexobj(h)
+    defect = float(np.abs(h - (h.conj().T if complex_h else h.T)).max(initial=0.0))
     if not defect <= tol:
         raise NumericalError(f"matrix is not Hermitian (defect {defect:.3e})")
-    if np.iscomplexobj(h) and float(np.abs(h.imag).max(initial=0.0)) <= tol:
+    if complex_h and float(np.abs(h.imag).max(initial=0.0)) <= tol:
         return np.ascontiguousarray(h.real)
     return h
 
@@ -308,6 +314,35 @@ def _solves_banded(bandwidth: int, dim: int) -> bool:
     return 10 * bandwidth < dim
 
 
+def _lowest_values(h: np.ndarray) -> Callable[[np.ndarray, int], np.ndarray]:
+    """lowest(a, upto): the lowest upto+1 eigenvalues of the lower triangle of
+    a square block a of h's dtype, from one LAPACK ?syevr or ?heevr call:
+    scipy.linalg.eigvalsh(a, subset_by_index=(0, upto)), bit for bit, without
+    its checks and copies.
+
+    The workspace is the optimal one at a's own size, as eigvalsh queries it
+    (about 1 us).  A minimal workspace makes ?sytrd run unblocked, and the
+    optimum of a larger matrix changed values too: with h's optimum, 16 of
+    the 151 leading blocks of one random real 151 x 151 matrix, solved for 5
+    values, moved by up to 1e-14.  NaN and inf are not checked for: :func:`_solver_matrix`
+    has rejected them.  LAPACK gets a Fortran-ordered copy of a.
+    """
+    routine = "heevr" if np.iscomplexobj(h) else "syevr"
+    evr, query = scipy.linalg.get_lapack_funcs((routine, routine + "_lwork"), (h,))
+    names = ("lwork", "lrwork", "liwork") if routine == "heevr" else ("lwork", "liwork")
+
+    def lowest(a: np.ndarray, upto: int) -> np.ndarray:
+        *sizes, info = query(a.shape[0], lower=1)
+        if not info:
+            workspace = {name: int(size.real) for name, size in zip(names, sizes)}
+            w, _, m, _, info = evr(a, compute_v=0, range="I", lower=1, il=1, iu=upto + 1, **workspace)
+        if info:
+            raise NumericalError(f"LAPACK ?{routine} failed (info {info})")
+        return w[:m]
+
+    return lowest
+
+
 def _block_solver(h: np.ndarray) -> Callable[[int, int, int], np.ndarray]:
     """solve(start, dim, upto): lowest upto+1 eigenvalues of the dim x dim block
     of the gated matrix h at (start, start), on its lower bands when h is narrow.
@@ -316,10 +351,10 @@ def _block_solver(h: np.ndarray) -> Callable[[int, int, int], np.ndarray]:
     """
     n, b = h.shape[0], half_bandwidth(h)
     if not _solves_banded(b, n):
+        lowest = _lowest_values(h)
 
         def dense(start: int, dim: int, upto: int) -> np.ndarray:
-            block = np.ascontiguousarray(h[start : start + dim, start : start + dim])
-            return scipy.linalg.eigvalsh(block, subset_by_index=(0, upto))
+            return lowest(h[start : start + dim, start : start + dim], upto)
 
         return dense
     bands = np.zeros((b + 1, n), dtype=h.dtype)
@@ -374,23 +409,27 @@ def _dvr_parity_blocks(spec: CircuitSpec, rep: DvrRep, dim: int) -> tuple[np.nda
     Row k of the even block is e_0 (k = 0) or (e_k + e_-k)/sqrt(2), row k of
     the odd block (e_k - e_-k)/sqrt(2), k >= 1: rows ordered by distance from
     the centre.  With H = diag(V) + c[|alpha - beta|] (:func:`_dvr_terms`;
-    the column of a parity-even H is real up to rounding, and its real part
-    is kept) the blocks are c[|j - k|] +- c[j + k] (Toeplitz +- Hankel) plus
-    V at alpha >= 0 on the diagonal, the even block's row and column 0 scaled
-    by 1/sqrt(2).
+    the column of a parity-even H is real) the blocks are c[|j - k|] +-
+    c[j + k] (Toeplitz +- Hankel) plus V at alpha >= 0 on the diagonal, the
+    even block's row and column 0 scaled by 1/sqrt(2).  The Toeplitz and
+    Hankel matrices are strided views of c; each block is one new array.
     """
     basis = concrete_dvr_basis(rep, dim)
     reduced = _dvr_terms(spec, basis)
-    diag = sum(t[basis.M :] for column, t in reduced if not column)
-    col = sum(t.real for column, t in reduced if column)
-    i = np.arange(basis.M + 1)
-    toeplitz, hankel = col[np.abs(i[:, None] - i)], col[i[:, None] + i]
-    scale = np.ones(basis.M + 1)
-    scale[0] = math.sqrt(0.5)
-    even = scale[:, None] * (toeplitz + hankel) * scale
-    odd = (toeplitz - hankel)[1:, 1:]
-    even[i, i] += diag
-    odd[i[:-1], i[:-1]] += diag[1:]
+    m = basis.M
+    diag = sum(t[m:] for column, t in reduced if not column)
+    col = sum(t for column, t in reduced if column)
+    step = col.itemsize
+    # toeplitz[j, k] = mirrored[m + j - k] = c[|j - k|], hankel[j, k] = c[j + k]
+    mirrored = np.concatenate((col[m::-1], col[1 : m + 1]))
+    toeplitz = np.lib.stride_tricks.as_strided(mirrored[m:], (m + 1, m + 1), (step, -step), writeable=False)
+    hankel = np.lib.stride_tricks.as_strided(col, (m + 1, m + 1), (step, step), writeable=False)
+    even = toeplitz + hankel
+    odd = toeplitz[1:, 1:] - hankel[1:, 1:]
+    even[0] *= math.sqrt(0.5)
+    even[:, 0] *= math.sqrt(0.5)
+    np.einsum("ii->i", even)[...] += diag
+    np.einsum("ii->i", odd)[...] += diag[1:]
     return even, odd
 
 
@@ -439,16 +478,21 @@ def _bounded_below(b: np.ndarray, a0: float) -> bool:
     thread / two) potrf took a median 0.14 / 0.43 ms and pbtrf 0.13 / 0.16 ms.
     """
     n = b.shape[0]
-    # lower band storage, band[k, j] = b[j + k, j]: column j of b from its
-    # diagonal down, read in place from b's columns laid end to end (the
-    # entries with j + k >= n are never read)
-    columns = np.zeros(n * (n + 1))
-    columns[: n * n] = b.ravel(order="F")
-    step = columns.itemsize
-    band = np.array(np.lib.stride_tricks.as_strided(columns, (n, n), (step, (n + 1) * step)), order="F")
-    # a sum, not np.linalg.norm: numpy's own BLAS runs dot in parallel from
-    # 10^4 entries, and its threads then compete with those of LAPACK's BLAS
-    norm = math.sqrt(float(np.sum(np.square(columns))))
+    # lower band storage in Fortran order: band[k, j] = b[i, j], i = j + k, at
+    # position j n + k = i + j (n - 1).  One strided copy puts rows 1 to n - 1
+    # of b there, each entry at its own position, and the upper-triangle
+    # entries among them on positions with j + k >= n, which pbtrf never
+    # reads; b[0, 0] goes to position 0.
+    packed = np.empty(n * n)
+    step = packed.itemsize
+    packed[0] = b[0, 0]
+    np.lib.stride_tricks.as_strided(packed[1:], (n - 1, n), (step, (n - 1) * step))[...] = b[1:]
+    band = packed.reshape((n, n), order="F")
+    # einsum, not np.linalg.norm: numpy's own BLAS runs dot in parallel from
+    # 10^4 entries, and its threads then compete with those of LAPACK's BLAS;
+    # an overflow gives an infinite margin, which proves nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = math.sqrt(float(np.einsum("ij,ij->", b, b)))
     band[0] -= a0 + _certificate_margin(n, norm, a0)
     return scipy.linalg.lapack.dpbtrf(band, lower=True, overwrite_ab=True)[1] == 0
 

@@ -1,10 +1,10 @@
 """Slow reference implementations that the tests compare against.
 
 The direct sum for the truncated DVRs shares no machinery with the package's
-DFT path, so an agreement between the two is evidence about both.  The
-per-term DVR Hamiltonian builds each term as a dense matrix from the public
-operator builders and sums them, apart from the Toeplitz assembly of
-``spectra``.  The reassembling flux sweep evaluates <H(A)> and the current
+closed-form columns, so an agreement between the two is evidence about
+both.  The per-term DVR Hamiltonian builds each term as a dense matrix from
+the public operator builders and sums them, apart from the Toeplitz assembly
+of ``spectra``.  The reassembling flux sweep evaluates <H(A)> and the current
 as dense expectations of H(A) and sin(theta + 2*pi*A) rebuilt at every A,
 apart from the population shortcut of ``states.flux_sweep``; the shift
 matrix is the beta-th matrix power of a one-step matrix filled column by
@@ -16,17 +16,18 @@ merges their lowest values, without the ground-level certificate of
 import math
 
 import numpy as np
+import scipy.linalg
 
 from dvrcircuits.circuits import CircuitSpec, Family, HamiltonianTerm, OperatorKind, terms
 from dvrcircuits.dvr import (
     DvrBasis,
     OperatorMatrix,
-    conj_function_truncated,
     conj_moment_traditional,
     conj_moment_truncated,
     cosine_in_charge,
     diag_of_discretized,
     sine_in_phase,
+    truncated_moment_column,
 )
 from dvrcircuits.errors import ConfigError
 from dvrcircuits.spectra import (
@@ -47,8 +48,8 @@ from dvrcircuits.states import ShiftSpec, StateVector, apply_shift, expectation
 def conj_moment_truncated_direct(basis: DvrBasis, power: int) -> OperatorMatrix:
     """Independent finite-sum evaluation of the truncated conjugate moments.
 
-    Slow elementwise reference path used to validate the DFT construction;
-    kept free of any shared machinery with conj_function_truncated.
+    Slow elementwise reference path used to validate the closed-form
+    columns; kept free of any shared machinery with conj_moment_truncated.
     """
     if not basis.kind.is_truncated:
         raise ConfigError("conj_moment_truncated_direct requires a truncated kind")
@@ -85,7 +86,7 @@ def _dvr_term_operator(basis: DvrBasis, term: HamiltonianTerm) -> OperatorMatrix
                 return conj_moment_truncated(basis, 2)
             return conj_moment_traditional(basis, 2)
         if kind is OperatorKind.N_SHIFTED_SQUARED and basis.kind.is_truncated:
-            return conj_function_truncated(basis, lambda y: (y - term.offset) ** 2)
+            return OperatorMatrix(scipy.linalg.circulant(truncated_moment_column(basis, 2, term.offset)))
     else:
         if kind is OperatorKind.N_SQUARED:
             return diag_of_discretized(basis, np.square)

@@ -22,8 +22,11 @@ import conftest
 import numpy as np
 import pytest
 
+from dvrcircuits.circuits import Family
 from dvrcircuits.convergence import (
     Scale,
+    _level_curve,
+    _unit,
     decoherence_R,
     default_sizes,
     energy_scale,
@@ -53,7 +56,7 @@ from dvrcircuits.presets import (
     fd_representations,
     transmon_representations,
 )
-from dvrcircuits.spectra import DvrRep, HoRep, assemble, eigensolve, nested_start
+from dvrcircuits.spectra import DvrRep, HoRep, assemble, eigensolve, nested_start, reference_energy
 from dvrcircuits.ho import HoBasis, LengthScale, cos_in_ho
 from dvrcircuits.states import ShiftSpec, StateVector, apply_shift, decompose, shift_operator
 from dvrcircuits.fdm import fd_coefficients
@@ -73,22 +76,26 @@ def _lc_curve(kind, frac, largest=301):
     return sweep(LC_CIRCUIT, rep, default_sizes(largest), 0, Scale.LC_SCALED)
 
 
-def _scan_metrics(spec, rep, threshold, scale, bisected, key):
-    """Metrics of the level-0 sweep over d = 3-301.  A nested pair runs
-    ``level_metrics`` first: where it bisected, its record goes to
-    ``bisected`` and the full sweep is run for comparison; where it fell
-    back, its record already is that of the full sweep."""
-    sizes = default_sizes(301)
+def _scan_metrics(spec, rep, threshold, scale, bisected, key, ground_sweeps):
+    """Metrics of the level-0 sweep over d = 3-301, whose values the
+    ``ground_sweeps`` fixture holds.  A nested pair runs ``level_metrics`` first:
+    where it bisected, its record goes to ``bisected`` and the full sweep's
+    is returned for comparison; where it fell back, its record already is
+    that of the full sweep."""
+    sizes = conftest.GROUND_SIZES
     if nested_start(rep, max(sizes), max(sizes)) is not None:
         (result,) = level_metrics(spec, rep, sizes, (0,), threshold, scale)
         if result.path == "full":
             return result.record
         bisected[key] = result.record
-    return metrics(sweep(spec, rep, sizes, 0, scale), threshold)
+    # what sweep(spec, rep, sizes, 0, scale) computes, from the stored values
+    values = ground_sweeps[0][(spec, rep)]
+    curve = _level_curve(0, reference_energy(spec, 0), sizes, values, _unit(spec, scale), scale)
+    return metrics(curve, threshold)
 
 
 @pytest.fixture(scope="module")
-def lc_scan():
+def lc_scan(ground_sweeps):
     """R per (kind, grid) over the full LC preset lists, and the bisected
     records of the nested grids."""
     out, bisected = {}, {}
@@ -96,14 +103,16 @@ def lc_scan():
         grids = PHASE_GRIDS if kind.is_phase else LC_CHARGE_GRIDS
         for frac in grids:
             rep = DvrRep(kind, Spacing(frac.numerator, frac.denominator, pi=kind.is_phase))
-            out[(kind, frac)] = _scan_metrics(LC_CIRCUIT, rep, LC_THRESHOLD, Scale.LC_SCALED, bisected, (kind, frac))
+            key = (kind, frac)
+            out[key] = _scan_metrics(LC_CIRCUIT, rep, LC_THRESHOLD, Scale.LC_SCALED, bisected, key, ground_sweeps)
     return out, bisected
 
 
 @pytest.fixture(scope="module")
-def fluxonium_scan():
-    """Ground-state metrics for every fluxonium preset representation, timed,
-    and the bisected records of the nested ones."""
+def fluxonium_scan(ground_sweeps):
+    """Ground-state metrics for every fluxonium preset representation, timed
+    (with the ``ground_sweeps`` level-0 sweeps of these pairs), and the bisected
+    records of the nested ones."""
     start = time.monotonic()
     out, bisected = {}, {}
     reps = {}
@@ -116,8 +125,9 @@ def fluxonium_scan():
     for scale in LengthScale:
         reps[("ho", scale)] = HoRep(scale)
     for key, rep in reps.items():
-        out[key] = _scan_metrics(FLUXONIUM_CIRCUIT, rep, 1e-6, Scale.ABSOLUTE, bisected, key)
-    return out, time.monotonic() - start, bisected
+        out[key] = _scan_metrics(FLUXONIUM_CIRCUIT, rep, 1e-6, Scale.ABSOLUTE, bisected, key, ground_sweeps)
+    elapsed = time.monotonic() - start + ground_sweeps[1][Family.FLUXONIUM]
+    return out, elapsed, bisected
 
 
 def test_criterion_1_lc_exactness():

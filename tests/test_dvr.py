@@ -2,6 +2,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,6 +19,7 @@ from dvrcircuits.dvr import (
     dvr_selfcheck,
     grid_points,
     sine_in_phase,
+    truncated_moment_column,
 )
 from dvrcircuits.errors import ConfigError
 from oracles import conj_moment_truncated_direct
@@ -175,7 +177,11 @@ def test_truncated_moment_whose_transform_overflows_is_rejected():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConfigError):
-            conj_moment_truncated(basis, 2)
+            conj_function_truncated(basis, np.square)
+        # the closed form sums nothing: its entries are at most max y^2
+        col = conj_moment_truncated(basis, 2).entries[:, 0]
+    assert np.all(np.isfinite(col))
+    assert math.isclose(col[0], 2.0 * basis.conjugate_spacing**2, rel_tol=4 * np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +254,45 @@ def test_fft_circulant_matches_compensated_sums(kind, spacing):
             want = _compensated_column(b, g)
             got = conj_function_truncated(b, g).entries[:, 0]
             assert np.abs(got - want).max() <= 4 * eps * np.abs(want).max()
+
+
+def _exact_square_column(b, offset):
+    """(1/d) sum_n (n s - offset)^2 exp(-+2 pi i k n / d) to 40 digits, s the
+    double conjugate spacing taken as exact; column[d - k] = conj(column[k])."""
+    M, d = b.M, b.dim
+    sign = -1 if b.kind.is_phase else 1
+    with mpmath.workdps(40):
+        cos = [mpmath.cospi(mpmath.mpf(2 * m) / d) for m in range(d)]
+        sin = [sign * mpmath.sinpi(mpmath.mpf(2 * m) / d) for m in range(d)]
+        weights = [(n * mpmath.mpf(b.conjugate_spacing) - mpmath.mpf(offset)) ** 2 / d for n in range(-M, M + 1)]
+        column = [mpmath.fsum(weights)]
+        for k in range(1, M + 1):
+            turns = [n * k % d for n in range(-M, M + 1)]
+            re = mpmath.fdot(weights, [cos[t] for t in turns])
+            im = mpmath.fdot(weights, [sin[t] for t in turns])
+            column.append(mpmath.mpc(re, im))
+        return column + [z.conjugate() for z in column[:0:-1]]
+
+
+@pytest.mark.parametrize(
+    "kind, spacing, offset",
+    [
+        (DvrKind.TRUNCATED_PHASE, Spacing(1, 64, pi=True), 0.0),
+        (DvrKind.TRUNCATED_PHASE, Spacing(5, 32, pi=True), 0.0),
+        (DvrKind.TRUNCATED_CHARGE, Spacing(1, 5), 0.0),
+        (DvrKind.TRUNCATED_PHASE, Spacing(2, 301, pi=True), 0.5),  # the transmon's 2*pi/d grid at N_g = 1/2
+    ],
+)
+def test_closed_form_columns_are_exact_to_a_few_ulp_per_entry(kind, spacing, offset):
+    # entry by entry, not relative to the largest: the FFT's smallest entries
+    # were off by up to 1.4e-11 of themselves at M = 150
+    b = DvrBasis(kind, spacing, 150)
+    got = truncated_moment_column(b, 2, offset)
+    assert got.dtype == (complex if offset else float)
+    want = _exact_square_column(b, offset)
+    with mpmath.workdps(40):
+        worst = max(abs(mpmath.mpc(complex(g)) - w) / abs(w) for g, w in zip(got, want))
+    assert worst <= 4 * np.finfo(float).eps
 
 
 def test_truncated_continuum_limit_matches_traditional():
@@ -332,8 +377,11 @@ def test_cosine_bands_equal_scaled_identities():
         for A in (0.0, 0.25, 0.37, 0.5):
             for sign in (+1, -1):
                 upper = 0.5 * np.exp(sign * 2j * np.pi * A)
+                if (2 * A).is_integer():  # exp(+-2 pi i A) = (-1)^(2A), real
+                    upper = upper.real
                 want = upper * np.eye(d, k=k) + np.conj(upper) * np.eye(d, k=-k)
-                assert np.array_equal(cosine_in_charge(b, A, sign).entries, want)
+                got = cosine_in_charge(b, A, sign).entries
+                assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_cosine_rejects_noninteger_inverse_spacing():

@@ -2,6 +2,7 @@ import json
 import math
 import random
 
+import conftest
 import numpy as np
 import pytest
 import scipy.linalg
@@ -427,6 +428,27 @@ def test_eigensolve_residuals_backward_stable():
         assert res < 1e-10 * scale
 
 
+@pytest.mark.parametrize("dtype, top", [(float, 151), (complex, 101)])
+def test_direct_lapack_call_equals_eigvalsh(dtype, top):
+    # every leading and centred block of one matrix, as a nested sweep solves
+    # them; a workspace sized for the whole matrix moved some values by 1e-14
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((top, top)).astype(dtype)
+    if dtype is complex:
+        a += 1j * rng.standard_normal((top, top))
+    h = a + a.conj().T
+    before = h.copy()
+    lowest = spectra._lowest_values(h)
+    for n in range(1, top + 1):
+        for start in {0, (top - n) // 2}:
+            block = h[start : start + n, start : start + n]
+            for upto in (0, 4):
+                k = min(upto, n - 1)
+                got, want = lowest(block, k), scipy.linalg.eigvalsh(block, subset_by_index=(0, k))
+                assert got.dtype == want.dtype and np.array_equal(got, want), (n, start, upto)
+    assert np.array_equal(h, before)
+
+
 def test_transmon_degeneracy_lifted_at_half_charge():
     spectrum = eigensolve(assemble(CHARGE_LIMIT, charge_basis(), 41), 2)
     assert spectrum.energies[1] - spectrum.energies[0] > 1e-3
@@ -553,13 +575,7 @@ def _count_certificates(monkeypatch):
     return calls
 
 
-_GROUND_SIZES = default_sizes(301)
-_GROUND_POOL = [
-    (spec, rep)
-    for spec, reps in ((FLUXONIUM_CIRCUIT, fluxonium_representations()), (LC_CIRCUIT, lc_representations()))
-    for rep in reps
-    if splits_by_parity(spec, rep)
-]
+_GROUND_SIZES, _GROUND_POOL = conftest.GROUND_SIZES, conftest.GROUND_POOL
 
 
 def _pool_id(case):
@@ -568,8 +584,8 @@ def _pool_id(case):
 
 
 @pytest.mark.parametrize("spec, rep", _GROUND_POOL, ids=[_pool_id(c) for c in _GROUND_POOL])
-def test_ground_sweep_equals_the_two_block_merge(spec, rep):
-    got = eigenvalues_by_size(spec, rep, _GROUND_SIZES, 0)
+def test_ground_sweep_equals_the_two_block_merge(spec, rep, ground_sweeps):
+    got = ground_sweeps[0][(spec, rep)]  # eigenvalues_by_size(spec, rep, _GROUND_SIZES, 0)
     want = eigenvalues_by_size_merging_blocks(spec, rep, _GROUND_SIZES, 0)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
