@@ -6,7 +6,7 @@ library versions, BLAS thread variables, and wall time.  Runs are sequential.
 Plotting is out of process: ``--emit-plot-script`` writes a gnuplot script next
 to the data.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure.
+Exit codes: 0 success, 2 config error or unwritable output, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -479,7 +479,7 @@ def main(argv: list[str] | None = None) -> int:
         start = time.monotonic()
         files, sweeps = COMMANDS[args.command](config, out, args.emit_plot_script)
         _write_manifest(out, args.command, config, time.monotonic() - start, files, sweeps)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # OSError: --out or a file in it cannot be written
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

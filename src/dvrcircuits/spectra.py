@@ -19,7 +19,7 @@ A sweep for the ground level alone solves one of the two blocks and proves
 with one shifted Cholesky factorization (:func:`_bounded_below`) that the
 other has nothing lower, solving it only when that proof fails.
 Reference energies come from a closed form (LC), a large harmonic-oscillator
-diagonalization (fluxonium), or a converged charge-basis oracle (transmon).
+diagonalization (fluxonium), or a bisected large charge basis (transmon).
 """
 
 from __future__ import annotations
@@ -48,6 +48,9 @@ from .fdm import Boundary, FdGrid, fd_hamiltonian
 from .ho import DEFAULT_EMBED_DIM, HoBasis, LengthScale, cos_in_ho, length_scale, quadratic_operators
 
 HERMITICITY_RTOL = 1e-13
+FLUXONIUM_ORACLE_DIM = DEFAULT_EMBED_DIM
+TRANSMON_ORACLE_DIM = 401
+TRANSMON_ORACLE_LEVELS = 64
 
 
 @dataclass(frozen=True)
@@ -603,36 +606,32 @@ def _fluxonium_reference(spec: CircuitSpec, embed_dim: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _transmon_reference(spec: CircuitSpec, dim: int) -> np.ndarray:
-    h = _solver_matrix(_assemble_dvr(spec, charge_basis(), dim).entries)
-    k = min(64, dim)
-    energies, vectors = scipy.linalg.eigh(h, subset_by_index=(0, k - 1))
-    # In the charge limit ||H|| grows like E_C * dim^2, so plain double-precision
-    # eigenvalues carry backward error ~eps * ||H|| (1e-11 GHz at dim 601).  One
-    # Rayleigh-quotient pass in extended precision removes it: the quotient error
-    # is quadratic in the eigenvector error, well below 1e-12 GHz.
-    wide = np.clongdouble if np.iscomplexobj(h) else np.longdouble
-    hw = h.astype(wide)
-    vw = vectors.astype(wide)
-    hv = hw @ vw
-    num = np.einsum("ij,ij->j", vw.conj(), hv)
-    den = np.einsum("ij,ij->j", vw.conj(), vw)
-    energies = (num / den).real.astype(float)
+    """The lowest min(TRANSMON_ORACLE_LEVELS, dim) levels of the charge basis at
+    size dim, by the band solver's Sturm bisection (?sbevx, ABSTOL = 2 safmin):
+    its Sturm counts are exact for off-diagonals perturbed by a few eps relative
+    (Demmel, Applied Numerical Linear Algebra, sec. 5.3.4), so each level E is
+    good to a few eps (|E| + E_J), not eps ||H|| ~ eps E_C dim^2: no refinement."""
+    energies = eigenvalues_by_size(spec, charge_basis(), (dim,), min(TRANSMON_ORACLE_LEVELS, dim) - 1)[0]
     energies.flags.writeable = False
     return energies
 
 
-def reference_energy(spec: CircuitSpec, level: int, oracle_dim: int | None = None) -> float:
+def reference_energy(spec: CircuitSpec, level: int) -> float:
     """Converged reference energy of one level, in GHz.
 
     LC: the closed form sqrt(8 E_C E_L) (n + 1/2).  Fluxonium: the standard
-    1001-state harmonic-oscillator diagonalization.  Transmon: a 401-state
-    charge-basis diagonalization standing in for the exact characteristic
-    values.
+    1001-state harmonic-oscillator diagonalization.  Transmon: the lowest 64
+    levels of a 401-state charge basis, standing in for the exact Mathieu
+    characteristic values.  ConfigError for a level the oracle does not hold.
     """
     if level < 0:
         raise ConfigError(f"level must be >= 0, got {level}")
     if spec.family is Family.LC:
         return math.sqrt(8.0 * spec.E_C * spec.E_L) * (level + 0.5)
     if spec.family is Family.FLUXONIUM:
-        return float(_fluxonium_reference(spec, oracle_dim or DEFAULT_EMBED_DIM)[level])
-    return float(_transmon_reference(spec, oracle_dim or 401)[level])
+        energies = _fluxonium_reference(spec, FLUXONIUM_ORACLE_DIM)
+    else:
+        energies = _transmon_reference(spec, TRANSMON_ORACLE_DIM)
+    if level >= energies.size:
+        raise ConfigError(f"the {spec.family.value} reference holds {energies.size} levels, got level {level}")
+    return float(energies[level])

@@ -516,6 +516,27 @@ def test_threads_flag_is_validated_and_changes_nothing(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_a_level_beyond_the_reference_oracle_exits_2(tmp_path, capsys):
+    # level 70 fits the largest size, but the transmon oracle holds 64 levels
+    doc = dict(preset_config("transmon-tl").to_dict(), sizes={"largest": 101}, levels=[70],
+               representations=[rep_to_dict(charge_basis())])
+    cfg = _write_config(tmp_path, doc)
+    assert main(["levels", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert "holds 64 levels" in capsys.readouterr().err
+
+
+def test_an_unwritable_output_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path, dict(LC_CONFIG, sizes={"largest": 11}))
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    assert main(["metrics", "--config", cfg, "--out", str(a_file)]) == 2
+    assert "File exists" in capsys.readouterr().err
+    # a CSV that cannot be written: its name is taken by a directory
+    (tmp_path / "out" / "metrics.csv").mkdir(parents=True)
+    assert main(["metrics", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "metrics.csv" in capsys.readouterr().err
+
+
 def test_exactly_one_source_of_config(tmp_path):
     cfg = _write_config(tmp_path, LC_CONFIG)
     assert main(["metrics"]) == 2

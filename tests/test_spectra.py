@@ -6,6 +6,7 @@ import conftest
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +29,9 @@ from dvrcircuits.presets import (
     transmon_representations,
 )
 from dvrcircuits.spectra import (
+    FLUXONIUM_ORACLE_DIM,
+    TRANSMON_ORACLE_DIM,
+    TRANSMON_ORACLE_LEVELS,
     DvrRep,
     FdRep,
     HoRep,
@@ -493,7 +497,7 @@ def test_lc_reference_closed_form():
 def test_fluxonium_reference_convergence_guard():
     for level in range(8):
         big = reference_energy(FLUXONIUM, level)
-        small = reference_energy(FLUXONIUM, level, oracle_dim=801)
+        small = _fluxonium_reference(FLUXONIUM, 801)[level]
         assert abs(big - small) < 1e-9
 
 
@@ -517,8 +521,36 @@ def test_cached_arrays_are_read_only():
 def test_transmon_reference_oracle_self_consistent():
     for spec in (TRANSMON, CHARGE_LIMIT):
         a = reference_energy(spec, 0)
-        b = reference_energy(spec, 0, oracle_dim=601)
+        b = _transmon_reference(spec, 601)[0]
         assert abs(a - b) < 1e-12
+
+
+@pytest.mark.parametrize("E_C, E_J", [(0.2, 10.0), (5.0, 5.0)], ids=["transmon-tl", "transmon-cl"])
+@pytest.mark.parametrize("N_g", [0.0, 0.5])
+def test_transmon_reference_matches_the_mathieu_characteristic_values(E_C, E_J, N_g):
+    # Koch et al., PRA 76, 042319 (2007): E = E_C a(q), q = -E_J / (2 E_C), with
+    # the pi-periodic characteristic values a_0, a_2, b_2, ... at N_g = 0 and
+    # the pi-antiperiodic a_1, b_1, a_3, b_3, ... at N_g = 1/2
+    q = -E_J / (2.0 * E_C)
+    orders = range(int(2 * N_g), TRANSMON_ORACLE_LEVELS + 4, 2)
+    values = [scipy.special.mathieu_a(m, q) for m in orders]
+    values += [scipy.special.mathieu_b(m, q) for m in orders if m]
+    want = E_C * np.sort(values)[:TRANSMON_ORACLE_LEVELS]
+    got = _transmon_reference(CircuitSpec.transmon(E_C, E_J, N_g), TRANSMON_ORACLE_DIM)
+    assert got.shape == want.shape
+    bound = 8 * np.finfo(float).eps * np.maximum(np.abs(want), 1.0)
+    assert np.all(np.abs(got - want) <= bound)
+
+
+@pytest.mark.parametrize(
+    "spec, held",
+    [(FLUXONIUM, FLUXONIUM_ORACLE_DIM), (TRANSMON, TRANSMON_ORACLE_LEVELS)],
+    ids=["fluxonium", "transmon"],
+)
+def test_reference_energy_rejects_a_level_the_oracle_does_not_hold(spec, held):
+    assert math.isfinite(reference_energy(spec, held - 1))
+    with pytest.raises(ConfigError, match=f"holds {held} levels"):
+        reference_energy(spec, held)
 
 
 def test_transmon_spectrum_offset_charge_symmetries():
