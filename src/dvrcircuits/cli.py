@@ -56,7 +56,7 @@ from .spectra import (
     check_compatible,
     eigensolve,
 )
-from .states import decompose, flux_sweep
+from .states import ShiftSpec, decompose, flux_sweep
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +140,9 @@ class RunConfig:
             raise ConfigError(f"decompose floor must be finite and non-negative, got {self.decompose_floor}")
         for rep in self.representations:
             check_compatible(self.circuit, rep)
+        # every command rejects a shift the shift command could not apply
+        for beta in (0, *self.shift_betas):
+            ShiftSpec(beta, self.shift_direction)
 
     def to_dict(self) -> dict:
         return {
@@ -309,6 +312,10 @@ def _write_manifest(out: Path, command: str, config: RunConfig, wall_time: float
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
+# the y axis of a curve plot, by the scale its CSV holds Delta in
+_YLABELS = {Scale.ABSOLUTE: "|Delta| (GHz)", Scale.LC_SCALED: "|Delta| / sqrt(8 E_C E_L)"}
+
+
 def _plot_script(out: Path, csv_files: list[str], ylabel: str) -> None:
     lines = [
         "set datafile separator ','",
@@ -351,7 +358,7 @@ def cmd_curve(config: RunConfig, out: Path, plot: bool) -> tuple[list[str], list
         files.append(name)
         sweeps.append(_sweep_entry(rep, curve.level, "full", len(curve.sizes)))
     if plot:
-        _plot_script(out, files, "|Delta| (GHz)")
+        _plot_script(out, files, _YLABELS[config.scale])
     return files, sweeps
 
 

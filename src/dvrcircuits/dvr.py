@@ -18,7 +18,7 @@ with a real dtype.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable
@@ -126,16 +126,6 @@ class DvrBasis:
     def weight(self) -> float:
         """Quadrature weight c_alpha = 1/spacing, identical on every point."""
         return 1.0 / self.spacing_value
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind.value, "spacing": self.spacing.to_dict(), "M": self.M}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DvrBasis":
-        try:
-            return cls(DvrKind(data["kind"]), Spacing.from_dict(data["spacing"]), json_int(data["M"], "M"))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad basis descriptor {data!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -375,8 +365,6 @@ def basis_function_values(basis: DvrBasis, alpha: int, x: np.ndarray) -> np.ndar
 class SelfCheckReport:
     interpolation_defect: float
     overlap_defect: float
-    fine_factor: int
-    details: dict = field(default_factory=dict)
 
 
 def dvr_selfcheck(basis: DvrBasis, fine_factor: int) -> SelfCheckReport:
@@ -415,9 +403,4 @@ def dvr_selfcheck(basis: DvrBasis, fine_factor: int) -> SelfCheckReport:
         wts[-1] *= 0.5
         overlaps = (values * wts) @ values.T
     overlap_defect = float(np.abs(overlaps - np.eye(d)).max())
-    return SelfCheckReport(
-        interpolation_defect=interpolation_defect,
-        overlap_defect=overlap_defect,
-        fine_factor=fine_factor,
-        details={"dim": d, "spacing": s},
-    )
+    return SelfCheckReport(interpolation_defect=interpolation_defect, overlap_defect=overlap_defect)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+import scipy.linalg
 
 from .circuits import CircuitSpec, HamiltonianTerm, OperatorKind, terms
 from .dvr import OperatorMatrix
@@ -81,15 +82,14 @@ def fd_coefficients(order_M: int) -> np.ndarray:
 
 def second_derivative_matrix(grid: FdGrid) -> np.ndarray:
     """Stencil matrix D2 such that D2 @ f approximates f'' * spacing^2."""
-    d = grid.dim
-    coeffs = fd_coefficients(grid.order_M)
-    mat = np.zeros((d, d))
-    for offset, c in zip(range(-grid.order_M, grid.order_M + 1), coeffs):
-        if grid.boundary is Boundary.PERIODIC:
-            mat += c * np.roll(np.eye(d), offset, axis=1)
-        else:
-            mat += c * np.eye(d, k=offset)
-    return mat
+    M = grid.order_M
+    coeffs = fd_coefficients(M)
+    col = np.zeros(grid.dim)
+    col[: M + 1] = coeffs[M:]
+    if grid.boundary is Boundary.PERIODIC:
+        col[grid.dim - M :] = coeffs[:M]
+        return scipy.linalg.circulant(col)
+    return scipy.linalg.toeplitz(col)
 
 
 def _potential(spec: CircuitSpec, theta: np.ndarray) -> np.ndarray:

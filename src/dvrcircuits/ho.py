@@ -104,17 +104,9 @@ def quadratic_operators(basis: HoBasis) -> tuple[OperatorMatrix, OperatorMatrix]
     return OperatorMatrix(theta2), OperatorMatrix(n2)
 
 
-@lru_cache(maxsize=16)
-def _embedded_theta_eigh(theta0: float, embed_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    off = theta0 * _ladder_offdiag(embed_dim)
-    w, u = eigh_tridiagonal(np.zeros(embed_dim), off)
-    w.flags.writeable = u.flags.writeable = False
-    return w, u
-
-
 @lru_cache(maxsize=8)
 def _embedded_cos(theta0: float, embed_dim: int, A: float) -> np.ndarray:
-    w, u = _embedded_theta_eigh(theta0, embed_dim)
+    w, u = eigh_tridiagonal(np.zeros(embed_dim), theta0 * _ladder_offdiag(embed_dim))
     c = (u * np.cos(w + 2.0 * np.pi * A)) @ u.T
     c.flags.writeable = False
     return c

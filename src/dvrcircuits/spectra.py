@@ -596,22 +596,23 @@ def eigenvalues(spec: CircuitSpec, rep: Representation, dim: int, upto: int) -> 
 
 
 @lru_cache(maxsize=32)
-def _fluxonium_reference(spec: CircuitSpec, embed_dim: int) -> np.ndarray:
-    """Every eigenvalue of the LC-scale HO representation at its embedding size."""
-    h = assemble(spec, HoRep(LengthScale.LC, embed_dim), embed_dim).entries
+def _fluxonium_reference(spec: CircuitSpec) -> np.ndarray:
+    """Every eigenvalue of the LC-scale HO representation at FLUXONIUM_ORACLE_DIM."""
+    dim = FLUXONIUM_ORACLE_DIM
+    h = assemble(spec, HoRep(LengthScale.LC, dim), dim).entries
     energies = scipy.linalg.eigvalsh(_solver_matrix(h))
     energies.flags.writeable = False
     return energies
 
 
 @lru_cache(maxsize=32)
-def _transmon_reference(spec: CircuitSpec, dim: int) -> np.ndarray:
-    """The lowest min(TRANSMON_ORACLE_LEVELS, dim) levels of the charge basis at
-    size dim, by the band solver's Sturm bisection (?sbevx, ABSTOL = 2 safmin):
+def _transmon_reference(spec: CircuitSpec) -> np.ndarray:
+    """The lowest TRANSMON_ORACLE_LEVELS levels of the charge basis at size
+    TRANSMON_ORACLE_DIM, by the band solver's Sturm bisection (?sbevx, ABSTOL = 2 safmin):
     its Sturm counts are exact for off-diagonals perturbed by a few eps relative
     (Demmel, Applied Numerical Linear Algebra, sec. 5.3.4), so each level E is
     good to a few eps (|E| + E_J), not eps ||H|| ~ eps E_C dim^2: no refinement."""
-    energies = eigenvalues_by_size(spec, charge_basis(), (dim,), min(TRANSMON_ORACLE_LEVELS, dim) - 1)[0]
+    energies = eigenvalues_by_size(spec, charge_basis(), (TRANSMON_ORACLE_DIM,), TRANSMON_ORACLE_LEVELS - 1)[0]
     energies.flags.writeable = False
     return energies
 
@@ -629,9 +630,9 @@ def reference_energy(spec: CircuitSpec, level: int) -> float:
     if spec.family is Family.LC:
         return math.sqrt(8.0 * spec.E_C * spec.E_L) * (level + 0.5)
     if spec.family is Family.FLUXONIUM:
-        energies = _fluxonium_reference(spec, FLUXONIUM_ORACLE_DIM)
+        energies = _fluxonium_reference(spec)
     else:
-        energies = _transmon_reference(spec, TRANSMON_ORACLE_DIM)
+        energies = _transmon_reference(spec)
     if level >= energies.size:
         raise ConfigError(f"the {spec.family.value} reference holds {energies.size} levels, got level {level}")
     return float(energies[level])

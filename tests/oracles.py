@@ -10,7 +10,9 @@ apart from the population shortcut of ``states.flux_sweep``; the shift
 matrix is the beta-th matrix power of a one-step matrix filled column by
 column.  The two-block sweep solves both parity blocks at every size and
 merges their lowest values, without the ground-level certificate of
-``spectra.eigenvalues_by_size``.
+``spectra.eigenvalues_by_size``.  The finite-difference stencil matrix sums
+one shifted identity per stencil offset instead of building one Toeplitz or
+circulant matrix from the stencil column.
 """
 
 import math
@@ -30,6 +32,7 @@ from dvrcircuits.dvr import (
     truncated_moment_column,
 )
 from dvrcircuits.errors import ConfigError
+from dvrcircuits.fdm import Boundary, FdGrid, fd_coefficients
 from dvrcircuits.spectra import (
     DvrRep,
     Representation,
@@ -195,3 +198,16 @@ def eigenvalues_by_size_merging_blocks(
         else:
             out.append(solve[0](start, d, k))
     return out
+
+
+def second_derivative_matrix_by_offsets(grid: FdGrid) -> np.ndarray:
+    """The stencil matrix as a sum of c * (shifted identity) over the offsets,
+    wrapped on a periodic grid and cut at the edge of a bounded one."""
+    d = grid.dim
+    mat = np.zeros((d, d))
+    for offset, c in zip(range(-grid.order_M, grid.order_M + 1), fd_coefficients(grid.order_M)):
+        if grid.boundary is Boundary.PERIODIC:
+            mat += c * np.roll(np.eye(d), offset, axis=1)
+        else:
+            mat += c * np.eye(d, k=offset)
+    return mat

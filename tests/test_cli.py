@@ -21,7 +21,7 @@ from dvrcircuits.cli import (
 )
 from dvrcircuits.circuits import CircuitSpec
 from dvrcircuits.convergence import Scale, metrics, sweep_levels
-from dvrcircuits.dvr import DvrBasis, DvrKind, Spacing
+from dvrcircuits.dvr import DvrKind, Spacing
 from dvrcircuits.errors import ConfigError
 from dvrcircuits.fdm import Boundary
 from dvrcircuits.ho import LengthScale
@@ -121,7 +121,7 @@ _random_configs = st.one_of(
         st.floats(1e-15, 1.0),
         st.sampled_from(Scale),
         st.floats(0.0, 1e-3),
-        st.lists(st.integers(-8, 8), max_size=4).map(tuple),
+        st.lists(st.integers(0, 8), max_size=4).map(tuple),
         st.sampled_from([-1, 1]),
         st.booleans(),
     )
@@ -224,6 +224,22 @@ def test_shift_command(tmp_path):
     assert len(lines) == 1 + 101 * 2
 
 
+@pytest.mark.parametrize("field, value", [("shift_direction", 0), ("shift_betas", [-3])])
+@pytest.mark.parametrize("command", ["curve", "metrics", "levels", "decompose", "shift"])
+def test_every_command_rejects_a_bad_shift_field(tmp_path, command, field, value):
+    doc = {
+        "circuit": {"family": "fluxonium", "E_C": 2.5, "E_L": 0.5, "E_J": 10.0, "A": 0.5},
+        "representations": [
+            {"type": "dvr", "kind": "traditional_phase", "spacing": {"num": 1, "den": 8, "pi": True}}
+        ],
+        "sizes": [21],
+        field: value,
+    }
+    cfg = _write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert not (tmp_path / "x").exists()
+
+
 def test_shift_command_rediagonalize(tmp_path):
     doc = {
         "circuit": {"family": "fluxonium", "E_C": 2.5, "E_L": 0.5, "E_J": 10.0, "A": 0.5},
@@ -319,6 +335,16 @@ def test_plot_script_emission(tmp_path):
     script = (out / "plot.gp").read_text()
     assert "set logscale y" in script
     assert ".csv" in script
+
+
+@pytest.mark.parametrize(
+    "scale, label", [("absolute", "|Delta| (GHz)"), ("lc_scaled", "|Delta| / sqrt(8 E_C E_L)")]
+)
+def test_plot_script_labels_the_scale_of_the_curves(tmp_path, scale, label):
+    doc = dict(LC_CONFIG, representations=LC_CONFIG["representations"][:1], sizes={"largest": 21}, scale=scale)
+    out = tmp_path / "out"
+    assert main(["curve", "--config", _write_config(tmp_path, doc), "--out", str(out), "--emit-plot-script"]) == 0
+    assert f"set ylabel '{label}'" in (out / "plot.gp").read_text().splitlines()
 
 
 def test_exit_code_on_config_error(tmp_path):
@@ -424,14 +450,6 @@ def test_integer_fields_must_be_json_integers(tmp_path, doc, path, value):
     cfg = _write_config(tmp_path, doc)
     assert main(["metrics", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     assert not (tmp_path / "x").exists()
-
-
-def test_dvr_basis_descriptor_needs_an_integer_M():
-    basis = {"kind": "traditional_phase", "spacing": {"num": 1, "den": 4, "pi": True}, "M": 3}
-    assert DvrBasis.from_dict(basis).M == 3
-    for bad in (3.0, 3.5, True, "3"):
-        with pytest.raises(ConfigError):
-            DvrBasis.from_dict(dict(basis, M=bad))
 
 
 @pytest.mark.parametrize("spacing", ["inf", "0.1", 1e300, 1e-200, float("inf"), float("nan"), 0, -0.1, True,

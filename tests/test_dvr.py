@@ -84,11 +84,6 @@ def test_conjugate_bound_and_weight():
     assert np.isclose(b.weight, 8.0 / math.pi)
 
 
-def test_basis_serialization_round_trip():
-    b = DvrBasis(DvrKind.TRUNCATED_CHARGE, Spacing(1, 5), 7)
-    assert DvrBasis.from_dict(b.to_dict()) == b
-
-
 # ---------------------------------------------------------------------------
 # diagonal approximation
 

@@ -12,6 +12,7 @@ from dvrcircuits.fdm import (
     fd_hamiltonian,
     second_derivative_matrix,
 )
+from oracles import second_derivative_matrix_by_offsets
 
 LC = CircuitSpec.lc(1.0, 1.0)
 
@@ -76,6 +77,16 @@ def test_second_derivative_symmetric():
             spacing = 2.0 * math.pi / 21 if boundary is Boundary.PERIODIC else 0.1
             d2 = second_derivative_matrix(FdGrid(spacing, half, order, boundary))
             assert np.abs(d2 - d2.T).max() == 0.0
+
+
+@pytest.mark.parametrize("boundary", list(Boundary), ids=lambda b: b.value)
+@pytest.mark.parametrize("order", [1, 2, 3, 5])
+def test_second_derivative_matrix_matches_the_sum_over_offsets(order, boundary):
+    for half in sorted({order, order + 1, 7, 50, 299}):
+        spacing = 2.0 * math.pi / (2 * half + 1) if boundary is Boundary.PERIODIC else 0.1
+        grid = FdGrid(spacing, half, order, boundary)
+        got = second_derivative_matrix(grid)
+        assert got.tobytes() == second_derivative_matrix_by_offsets(grid).tobytes()
 
 
 def test_lc_ground_energy_near_exact():
