@@ -39,6 +39,7 @@ from .spectra import (
     assemble,
     charge_basis,
     eigensolve,
+    lowest_states,
     reference_energy,
 )
 from .states import ShiftSpec, StateVector, apply_shift, decompose, expectation, flux_sweep, shift_operator

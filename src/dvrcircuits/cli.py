@@ -52,9 +52,8 @@ from .spectra import (
     FdRep,
     HoRep,
     Representation,
-    assemble,
     check_compatible,
-    eigensolve,
+    lowest_states,
 )
 from .states import ShiftSpec, decompose, flux_sweep
 
@@ -259,9 +258,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _format_column(values: tuple) -> list[str]:
+    """``_fmt`` of every value, as one map over a column of all floats or all ints."""
+    types = set(map(type, values))
+    if types == {float}:
+        return list(map("{:.17g}".format, values))
+    if types == {int}:  # not bool, which _fmt spells out
+        return list(map(str, values))
+    return list(map(_fmt, values))
+
+
 def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    columns = [_format_column(column) for column in zip(*rows)]
+    lines = [",".join(header), *map(",".join, zip(*columns))]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -404,14 +413,11 @@ def cmd_decompose(config: RunConfig, out: Path, plot: bool) -> tuple[list[str], 
     dim = max(config.sizes)
     levels = max(config.levels) + 1
     for rep in config.representations:
-        spectrum = eigensolve(assemble(config.circuit, rep, dim), levels)
-        table = decompose(spectrum, levels, config.decompose_floor)
+        table = decompose(lowest_states(config.circuit, rep, dim, levels), levels, config.decompose_floor)
         name = f"decompose_{config.circuit.family.value}_{_slug(rep)}.csv"
-        rows = [
-            (level, alpha, float(table[level, alpha]))
-            for level in range(levels)
-            for alpha in range(dim)
-        ]
+        # row-major, as table.ravel(): level l, alpha a at entry l * dim + a
+        level_column = [level for level in range(levels) for _ in range(dim)]
+        rows = list(zip(level_column, list(range(dim)) * levels, table.ravel().tolist()))
         _write_csv(out / name, ["level", "alpha", "magnitude_sq_floored"], rows)
         files.append(name)
     return files, []

@@ -14,7 +14,8 @@ direct LAPACK call (:func:`_lowest_values`).  A dense Hamiltonian that
 commutes with the parity theta -> -theta (:func:`splits_by_parity`, decided
 from the circuit) is solved as an even and an odd block of half the size; a
 DVR builds them on the half grid as Toeplitz +- Hankel, strided views of the
-summed column, plus the diagonal.
+summed column, plus the diagonal.  :func:`lowest_states` solves the same
+blocks for eigenvectors and maps them back to the full basis.
 A sweep for the ground level alone solves one of the two blocks and proves
 with one shifted Cholesky factorization (:func:`_bounded_below`) that the
 other has nothing lower, solving it only when that proof fails.
@@ -32,14 +33,13 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .circuits import CircuitSpec, Family, OperatorKind, terms
+from .circuits import CircuitSpec, Family, HamiltonianTerm, OperatorKind, terms
 from .dvr import (
     DvrBasis,
     DvrKind,
     OperatorMatrix,
     Spacing,
     cosine_band,
-    grid_points,
     traditional_moment_elements,
     truncated_moment_column,
 )
@@ -165,40 +165,45 @@ def concrete_dvr_basis(rep: DvrRep, dim: int) -> DvrBasis:
     return DvrBasis(rep.kind, rep.spacing, m)
 
 
-def _dvr_terms(spec: CircuitSpec, basis: DvrBasis) -> list[tuple[bool, np.ndarray]]:
-    """Each term of ``terms(spec)`` in the DVR, times its coefficient, in that order.
+def _dvr_terms(
+    spec_terms: list[HamiltonianTerm], basis: DvrBasis, half: bool = False
+) -> list[tuple[bool, np.ndarray]]:
+    """Each of ``spec_terms`` in the DVR, times its coefficient, in that order.
 
     A function of the discretized variable is diagonal: (False, v), v[alpha + M]
-    its value at grid point alpha.  A function of the conjugate variable
-    depends only on n = alpha - beta: (True, t), t[n] for n >= 0 the first
-    column of a Hermitian Toeplitz matrix.  That is the closed form on a
+    its value at grid point alpha, or v[alpha] for alpha >= 0 only with
+    ``half`` (the parity blocks read no other).  A function of the conjugate
+    variable depends only on n = alpha - beta: (True, t), t[n] for n >= 0 the
+    first column of a Hermitian Toeplitz matrix.  That is the closed form on a
     traditional grid, and on a truncated grid the circulant's closed-form
     column (:func:`dvr.truncated_moment_column`), which is exactly Hermitian
     (t[n] = conj(t[d - n])), so the circulant is Toeplitz.  Every t and v is
     real except the transmon's 2*pi/d grid at N_g != 0 and a charge grid's
     cosine band at 2A not an integer.
-    ConfigError unless twice the sum of the terms' largest magnitudes is
-    finite: that bounds every entry of the full matrix and of the parity
-    blocks, where each entry adds at most two entries of each term.
+    Called under :data:`_QUIET`.  ConfigError unless twice the sum of the
+    terms' largest magnitudes is finite: that bounds every entry of the full
+    matrix and of the parity blocks, where each entry adds at most two entries
+    of each term's column and one of its grid values at alpha >= 0.
     """
     n = np.arange(basis.dim)
+    # the values of dvr.grid_points(basis), or its entries from alpha = 0 on
+    grid = np.arange(0 if half else -basis.M, basis.M + 1) * basis.spacing_value
     reduced = []
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for term in terms(spec):
-            on_grid = basis.kind.is_phase == (term.kind in (OperatorKind.THETA_SQUARED, OperatorKind.COS_THETA))
-            if on_grid and term.kind is OperatorKind.COS_THETA:
-                values = np.cos(grid_points(basis) + term.sign * 2.0 * np.pi * term.flux)
-            elif on_grid:
-                values = np.square(grid_points(basis) - term.offset)
-            elif term.kind is OperatorKind.COS_THETA:
-                k, upper = cosine_band(basis, term.flux, term.sign)
-                values = np.where(n == k, np.conj(upper), 0.0)
-            elif basis.kind.is_truncated:
-                values = truncated_moment_column(basis, 2, term.offset)
-            else:  # an offset N_g arises only for the transmon, never on this grid
-                values = traditional_moment_elements(basis, 2, n)
-            reduced.append((not on_grid, term.coefficient * values))
-        bound = 2.0 * sum(np.abs(t).max() for _, t in reduced)
+    for term in spec_terms:
+        on_grid = basis.kind.is_phase == (term.kind in (OperatorKind.THETA_SQUARED, OperatorKind.COS_THETA))
+        if on_grid and term.kind is OperatorKind.COS_THETA:
+            values = np.cos(grid + term.sign * 2.0 * np.pi * term.flux)
+        elif on_grid:
+            values = np.square(grid - term.offset)
+        elif term.kind is OperatorKind.COS_THETA:
+            k, upper = cosine_band(basis, term.flux, term.sign)
+            values = np.where(n == k, np.conj(upper), 0.0)
+        elif basis.kind.is_truncated:
+            values = truncated_moment_column(basis, 2, term.offset)
+        else:  # an offset N_g arises only for the transmon, never on this grid
+            values = traditional_moment_elements(basis, 2, n)
+        reduced.append((not on_grid, term.coefficient * values))
+    bound = 2.0 * sum(np.abs(t).max() for _, t in reduced)
     if not np.isfinite(bound):
         raise ConfigError(
             f"the Hamiltonian is not finite on the {basis.kind.value} grid of spacing {basis.spacing_value!r}"
@@ -206,10 +211,15 @@ def _dvr_terms(spec: CircuitSpec, basis: DvrBasis) -> list[tuple[bool, np.ndarra
     return reduced
 
 
+# an entry that overflows is caught by the finiteness check of _dvr_terms
+_QUIET = dict(over="ignore", divide="ignore", invalid="ignore")
+
+
 def _assemble_dvr(spec: CircuitSpec, rep: DvrRep, dim: int) -> OperatorMatrix:
     """Toeplitz from the summed columns, with each diagonal entry summed over
     every term in the order of ``terms(spec)``."""
-    reduced = _dvr_terms(spec, concrete_dvr_basis(rep, dim))
+    with np.errstate(**_QUIET):
+        reduced = _dvr_terms(terms(spec), concrete_dvr_basis(rep, dim))
     h = scipy.linalg.toeplitz(sum(t for column, t in reduced if column))
     np.fill_diagonal(h, sum(t[0] if column else t for column, t in reduced))
     return OperatorMatrix(h)
@@ -317,6 +327,13 @@ def _solves_banded(bandwidth: int, dim: int) -> bool:
     return 10 * bandwidth < dim
 
 
+@lru_cache(maxsize=4)
+def _evr(dtype: np.dtype) -> tuple[str, Callable, Callable]:
+    """(routine, ?syevr or ?heevr, its workspace query) for a matrix of dtype."""
+    routine = "heevr" if dtype.kind == "c" else "syevr"
+    return (routine, *scipy.linalg.get_lapack_funcs((routine, routine + "_lwork"), dtype=dtype))
+
+
 def _lowest_values(h: np.ndarray) -> Callable[[np.ndarray, int], np.ndarray]:
     """lowest(a, upto): the lowest upto+1 eigenvalues of the lower triangle of
     a square block a of h's dtype, from one LAPACK ?syevr or ?heevr call:
@@ -330,8 +347,7 @@ def _lowest_values(h: np.ndarray) -> Callable[[np.ndarray, int], np.ndarray]:
     values, moved by up to 1e-14.  NaN and inf are not checked for: :func:`_solver_matrix`
     has rejected them.  LAPACK gets a Fortran-ordered copy of a.
     """
-    routine = "heevr" if np.iscomplexobj(h) else "syevr"
-    evr, query = scipy.linalg.get_lapack_funcs((routine, routine + "_lwork"), (h,))
+    routine, evr, query = _evr(h.dtype)
     names = ("lwork", "lrwork", "liwork") if routine == "heevr" else ("lwork", "liwork")
 
     def lowest(a: np.ndarray, upto: int) -> np.ndarray:
@@ -406,8 +422,9 @@ def splits_by_parity(spec: CircuitSpec, rep: Representation) -> bool:
     return isinstance(rep, HoRep) and spec.family is Family.FLUXONIUM
 
 
-def _dvr_parity_blocks(spec: CircuitSpec, rep: DvrRep, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Even and odd blocks of a parity-even DVR Hamiltonian, built on the half grid.
+def _dvr_parity_blocks(spec: CircuitSpec, rep: DvrRep) -> Callable[[int], tuple[np.ndarray, np.ndarray]]:
+    """blocks(dim): the even and odd blocks of a parity-even DVR Hamiltonian
+    H(dim), built on the half grid; ``terms(spec)`` is expanded once, here.
 
     Row k of the even block is e_0 (k = 0) or (e_k + e_-k)/sqrt(2), row k of
     the odd block (e_k - e_-k)/sqrt(2), k >= 1: rows ordered by distance from
@@ -417,34 +434,93 @@ def _dvr_parity_blocks(spec: CircuitSpec, rep: DvrRep, dim: int) -> tuple[np.nda
     even block's row and column 0 scaled by 1/sqrt(2).  The Toeplitz and
     Hankel matrices are strided views of c; each block is one new array.
     """
-    basis = concrete_dvr_basis(rep, dim)
-    reduced = _dvr_terms(spec, basis)
-    m = basis.M
-    diag = sum(t[m:] for column, t in reduced if not column)
-    col = sum(t for column, t in reduced if column)
-    step = col.itemsize
-    # toeplitz[j, k] = mirrored[m + j - k] = c[|j - k|], hankel[j, k] = c[j + k]
-    mirrored = np.concatenate((col[m::-1], col[1 : m + 1]))
-    toeplitz = np.lib.stride_tricks.as_strided(mirrored[m:], (m + 1, m + 1), (step, -step), writeable=False)
-    hankel = np.lib.stride_tricks.as_strided(col, (m + 1, m + 1), (step, step), writeable=False)
-    even = toeplitz + hankel
-    odd = toeplitz[1:, 1:] - hankel[1:, 1:]
-    even[0] *= math.sqrt(0.5)
-    even[:, 0] *= math.sqrt(0.5)
-    np.einsum("ii->i", even)[...] += diag
-    np.einsum("ii->i", odd)[...] += diag[1:]
-    return even, odd
+    spec_terms = terms(spec)
+
+    @np.errstate(**_QUIET)
+    def blocks(dim: int) -> tuple[np.ndarray, np.ndarray]:
+        basis = concrete_dvr_basis(rep, dim)
+        reduced = _dvr_terms(spec_terms, basis, half=True)
+        m = basis.M
+        diag = sum(t for column, t in reduced if not column)
+        col = sum(t for column, t in reduced if column)
+        step = col.itemsize
+        # toeplitz[j, k] = mirrored[m + j - k] = c[|j - k|], hankel[j, k] = c[j + k]
+        mirrored = np.concatenate((col[m::-1], col[1 : m + 1]))
+        toeplitz = np.ndarray((m + 1, m + 1), col.dtype, mirrored, m * step, (step, -step))
+        hankel = np.ndarray((m + 1, m + 1), col.dtype, col, 0, (step, step))
+        even = toeplitz + hankel
+        odd = toeplitz[1:, 1:] - hankel[1:, 1:]
+        even[0] *= math.sqrt(0.5)
+        even[:, 0] *= math.sqrt(0.5)
+        np.einsum("ii->i", even)[...] += diag
+        np.einsum("ii->i", odd)[...] += diag[1:]
+        return even, odd
+
+    return blocks
+
+
+def _parity_blocks_by_size(
+    spec: CircuitSpec, rep: Representation
+) -> Callable[[int], tuple[np.ndarray, np.ndarray]]:
+    """blocks(dim): the (even, odd) blocks of H(dim), of sizes (dim + 1) // 2
+    and dim // 2; for a nested representation the blocks of H(d) lead those
+    of H(dim)."""
+    if isinstance(rep, DvrRep):
+        check_compatible(spec, rep)
+        return _dvr_parity_blocks(spec, rep)
+
+    def blocks(dim: int) -> tuple[np.ndarray, np.ndarray]:
+        h = assemble(spec, rep, dim).entries
+        # the embedded cosine's off-parity entries are roundoff (up to 6e-14)
+        return np.ascontiguousarray(h[0::2, 0::2]), np.ascontiguousarray(h[1::2, 1::2])
+
+    return blocks
 
 
 def _parity_blocks(spec: CircuitSpec, rep: Representation, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """(even, odd) blocks of H(dim), of sizes (dim + 1) // 2 and dim // 2; for
-    a nested representation the blocks of H(d) lead those of H(dim)."""
-    if isinstance(rep, DvrRep):
-        check_compatible(spec, rep)
-        return _dvr_parity_blocks(spec, rep, dim)
-    h = assemble(spec, rep, dim).entries
-    # the embedded cosine's off-parity entries are roundoff (up to 6e-14)
-    return np.ascontiguousarray(h[0::2, 0::2]), np.ascontiguousarray(h[1::2, 1::2])
+    """The (even, odd) blocks of H(dim) (:func:`_parity_blocks_by_size`)."""
+    return _parity_blocks_by_size(spec, rep)(dim)
+
+
+def lowest_states(spec: CircuitSpec, rep: Representation, dim: int, k: int) -> Spectrum:
+    """Lowest k eigenpairs of H(dim), ascending and unit-norm: the one route
+    by which the package's commands get eigenvectors.
+
+    Where :func:`splits_by_parity` holds, each parity block is solved by
+    :func:`eigensolve` for its lowest min(k, n) pairs and its vectors are
+    mapped back to the full basis: in a DVR the even block's row 0 is the
+    centre e_0 and its row j the state (e_j + e_-j)/sqrt(2), the odd block's
+    row j - 1 the state (e_j - e_-j)/sqrt(2); in the HO basis the even states
+    are m = 0, 2, ... and the odd ones m = 1, 3, ....  Each vector therefore
+    has an exact parity, c[M + j] = +-c[M - j] bit for bit in a DVR.  The
+    lowest k values of the two blocks are merged by a stable sort, the even
+    block first on ties.  Any other circuit and representation is
+    ``eigensolve(assemble(spec, rep, dim), k)``.
+    """
+    if not splits_by_parity(spec, rep):
+        return eigensolve(assemble(spec, rep, dim), k)
+    if not 1 <= k <= dim:
+        raise ConfigError(f"k must be in [1, {dim}], got {k}")
+    even, odd = _parity_blocks(spec, rep, dim)
+    parts = [eigensolve(OperatorMatrix(b), min(k, b.shape[0])) for b in (even, odd) if b.size]
+    energies = np.concatenate([part.energies for part in parts])
+    vectors = np.zeros((dim, energies.size), dtype=np.result_type(*(part.eigvectors for part in parts)))
+    m, start = even.shape[0] - 1, 0  # m: a DVR's centre row
+    for part, sign, rows in zip(parts, (1.0, -1.0), (slice(0, None, 2), slice(1, None, 2))):
+        v = part.eigvectors
+        columns = slice(start, start + v.shape[1])
+        start = columns.stop
+        if isinstance(rep, HoRep):
+            vectors[rows, columns] = v
+            continue
+        if sign > 0:
+            vectors[m, columns] = v[0]
+            v = v[1:]
+        upper = v * math.sqrt(0.5)  # rows m + 1, ..., 2m
+        vectors[m + 1 :, columns] = upper
+        vectors[:m, columns] = sign * upper[::-1]
+    order = np.argsort(energies, kind="stable")[:k]
+    return Spectrum(energies[order], vectors[:, order], dim)
 
 
 def _certificate_margin(n: int, norm: float, a0: float) -> float:
@@ -543,9 +619,10 @@ def size_solver(
     with a certified a0 the other block's exact lowest eigenvalue is >= a0.
     """
     split = splits_by_parity(spec, rep)
+    parity_blocks = _parity_blocks_by_size(spec, rep) if split else None
 
     def solvers(d: int) -> tuple[list[np.ndarray], list[Callable[[int, int, int], np.ndarray]]]:
-        blocks = _parity_blocks(spec, rep, d) if split else (assemble(spec, rep, d).entries,)
+        blocks = parity_blocks(d) if split else (assemble(spec, rep, d).entries,)
         matrices = [_solver_matrix(b) for b in blocks]
         return matrices, [_block_solver(m) for m in matrices]
 

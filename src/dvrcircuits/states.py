@@ -8,9 +8,11 @@ truncated one.
 
 In a phase DVR the flux enters only through one grid diagonal,
 -E_J cos(theta_alpha + 2*pi*A).  A flux sweep that holds the state therefore
-costs one assembly and one eigensolve per representation, plus O(d) per
-(A, beta): the grid populations |c_alpha|^2 against cos and sin on the grid.
-A sweep that rediagonalizes re-assembles and re-solves at each A.
+costs one assembly and one ground-state solve per representation, plus O(d)
+per (A, beta): the grid populations |c_alpha|^2 against cos and sin on the
+grid.  A sweep that rediagonalizes re-assembles and re-solves at each A.
+Every state comes from :func:`spectra.lowest_states`, which solves the two
+parity blocks of a parity-even circuit.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from .circuits import CircuitSpec, Family
 from .dvr import DvrBasis, OperatorMatrix, grid_points, sine_in_phase
 from .errors import ConfigError
-from .spectra import DvrRep, Spectrum, assemble, eigensolve
+from .spectra import DvrRep, Spectrum, assemble, lowest_states
 
 
 @dataclass(frozen=True)
@@ -154,14 +156,15 @@ def flux_sweep(
     rows = []
     if rediagonalize:
         for a in a_values:
-            h_a = assemble(_fluxonium_at(spec, float(a)), rep, dim)
+            spec_a = _fluxonium_at(spec, float(a))
+            h_a = assemble(spec_a, rep, dim)
             current_a = sine_in_phase(basis, float(a))
-            base = StateVector.from_eigenvector(eigensolve(h_a, 1), 0)
+            base = StateVector.from_eigenvector(lowest_states(spec_a, rep, dim, 1), 0)
             for shift in shifts:
                 state, _ = apply_shift(base, basis, shift)
                 rows.append((float(a), shift.phi(basis), expectation(h_a, state), expectation(current_a, state)))
         return rows
-    ground = StateVector.from_eigenvector(eigensolve(h, 1), 0)
+    ground = StateVector.from_eigenvector(lowest_states(spec, rep, dim, 1), 0)
     theta = grid_points(basis)
     # the same grid values _dvr_terms puts on the diagonal of H
     cos_own = np.cos(theta + 2.0 * np.pi * spec.A)

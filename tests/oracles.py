@@ -6,13 +6,17 @@ both.  The per-term DVR Hamiltonian builds each term as a dense matrix from
 the public operator builders and sums them, apart from the Toeplitz assembly
 of ``spectra``.  The reassembling flux sweep evaluates <H(A)> and the current
 as dense expectations of H(A) and sin(theta + 2*pi*A) rebuilt at every A,
-apart from the population shortcut of ``states.flux_sweep``; the shift
+apart from the population shortcut of ``states.flux_sweep``; it takes its
+states from ``spectra.lowest_states`` as the sweep does, so the two agree on
+the state and differ only in the algebra (the states themselves are checked
+against the dense solve in ``test_spectra``).  The shift
 matrix is the beta-th matrix power of a one-step matrix filled column by
 column.  The two-block sweep solves both parity blocks at every size and
 merges their lowest values, without the ground-level certificate of
 ``spectra.eigenvalues_by_size``.  The finite-difference stencil matrix sums
 one shifted identity per stencil offset instead of building one Toeplitz or
-circulant matrix from the stencil column.
+circulant matrix from the stencil column.  The row-wise CSV writer formats
+one value at a time with ``cli._fmt`` instead of one column at a time.
 """
 
 import math
@@ -20,6 +24,7 @@ import math
 import numpy as np
 import scipy.linalg
 
+from dvrcircuits.cli import _fmt
 from dvrcircuits.circuits import CircuitSpec, Family, HamiltonianTerm, OperatorKind, terms
 from dvrcircuits.dvr import (
     DvrBasis,
@@ -41,7 +46,7 @@ from dvrcircuits.spectra import (
     _solver_matrix,
     assemble,
     concrete_dvr_basis,
-    eigensolve,
+    lowest_states,
     nested_start,
     splits_by_parity,
 )
@@ -147,14 +152,15 @@ def flux_sweep_by_reassembly(
         raise ConfigError("flux sweeps require a phase DVR")
     if a_values is None:
         a_values = np.linspace(0.0, 1.0, 101)
-    ground = StateVector.from_eigenvector(eigensolve(assemble(spec, rep, dim), 1), 0)
+    ground = StateVector.from_eigenvector(lowest_states(spec, rep, dim, 1), 0)
     shifted = {beta: apply_shift(ground, basis, ShiftSpec(beta, direction))[0] for beta in betas}
     rows = []
     for a in a_values:
-        h_a = assemble(CircuitSpec.fluxonium(spec.E_C, spec.E_L, spec.E_J, float(a)), rep, dim)
+        spec_a = CircuitSpec.fluxonium(spec.E_C, spec.E_L, spec.E_J, float(a))
+        h_a = assemble(spec_a, rep, dim)
         current_a = sine_in_phase(basis, float(a))
         if rediagonalize:
-            base = StateVector.from_eigenvector(eigensolve(h_a, 1), 0)
+            base = StateVector.from_eigenvector(lowest_states(spec_a, rep, dim, 1), 0)
         for beta in betas:
             if rediagonalize:
                 state, _ = apply_shift(base, basis, ShiftSpec(beta, direction))
@@ -211,3 +217,10 @@ def second_derivative_matrix_by_offsets(grid: FdGrid) -> np.ndarray:
         else:
             mat += c * np.eye(d, k=offset)
     return mat
+
+
+def write_csv_by_rows(path, header: list[str], rows: list[tuple]) -> None:
+    """``cli._write_csv`` with ``_fmt`` called on each value, row by row."""
+    lines = [",".join(header)]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n")

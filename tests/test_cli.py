@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from dvrcircuits.fdm import Boundary
 from dvrcircuits.ho import LengthScale
 from dvrcircuits.presets import CHARGE_LIMIT, FLUXONIUM_CIRCUIT, LC_CIRCUIT, TRANSMON_LIMIT
 from dvrcircuits.spectra import DvrRep, FdRep, HoRep, charge_basis
+from oracles import write_csv_by_rows
 
 
 LC_CONFIG = {
@@ -569,3 +571,21 @@ def test_every_preset_runs_every_command(tmp_path, preset, command):
     # shift sweeps fluxonium flux; every other pairing must succeed
     expected = 2 if command == "shift" and preset != "fluxonium" else 0
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == expected
+
+
+_CSV_CASES = {
+    "header only": (["a", "b"], []),
+    "bool none int": (["flag", "empty", "n"], [(True, None, 3), (False, None, -7)]),
+    "numpy scalars": (["x", "n"], [(np.float64(0.1), np.int64(5)), (np.float64(-2.5e-310), np.int64(-1))]),
+    "special floats": (["x"], [(math.nan,), (math.inf,), (-math.inf,), (-0.0,), (5e-324,), (1e300,)]),
+    "float and numpy float": (["x"], [(0.1,), (np.float64(1 / 3),)]),
+    "mixed column": (["v"], [(1.5,), (2,), (True,), (None,), ("",), (np.float64(3.0),), ("d",), (np.int64(4),)]),
+    "int and bool": (["v"], [(1,), (True,), (0,)]),
+}
+
+
+@pytest.mark.parametrize("header, rows", _CSV_CASES.values(), ids=_CSV_CASES.keys())
+def test_column_writer_equals_the_row_writer(tmp_path, header, rows):
+    _write_csv(tmp_path / "got.csv", header, rows)
+    write_csv_by_rows(tmp_path / "want.csv", header, rows)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

@@ -48,6 +48,7 @@ from dvrcircuits.spectra import (
     eigensolve,
     eigenvalues,
     eigenvalues_by_size,
+    lowest_states,
     nested_start,
     parity_even,
     reference_energy,
@@ -690,3 +691,48 @@ def test_certificate_runs_only_for_split_ground_sweeps(monkeypatch, tmp_path):
         assert not splits_by_parity(spec, rep)
         eigenvalues_by_size(spec, rep, sizes, 0)
     assert calls["run"] == 0
+
+
+_STATE_REPS = fluxonium_representations()
+
+
+@pytest.mark.parametrize("dim", [41, 301])
+@pytest.mark.parametrize("rep", _STATE_REPS, ids=[rep.label for rep in _STATE_REPS])
+def test_states_from_the_parity_blocks_match_the_dense_solve(rep, dim):
+    assert splits_by_parity(FLUXONIUM_CIRCUIT, rep)
+    got = lowest_states(FLUXONIUM_CIRCUIT, rep, dim, 5)
+    h = assemble(FLUXONIUM_CIRCUIT, rep, dim).entries
+    dense = eigensolve(OperatorMatrix(h), 6)
+    assert got.dim == dim and got.eigvectors.shape == (dim, 5)
+    assert np.abs(got.energies - dense.energies[:5]).max() <= 64 * _EPS * np.abs(h).max()
+    # Davis-Kahan: a vector moves by at most v = 64 eps ||H|| / gap, its
+    # populations by 2v + v^2; the largest row sum bounds ||H||_2
+    ev = dense.energies
+    gaps = np.array([min(ev[n + 1] - ev[n], ev[n] - ev[n - 1] if n else np.inf) for n in range(5)])
+    v = 64 * _EPS * np.abs(h).sum(axis=1).max() / gaps
+    populations = np.abs(got.eigvectors) ** 2 - np.abs(dense.eigvectors[:, :5]) ** 2
+    assert (np.abs(populations).max(axis=0) <= 2 * v + v * v).all()
+    for c in got.eigvectors.T:
+        if isinstance(rep, HoRep):  # m even or m odd only
+            assert not c[1::2].any() or not c[0::2].any()
+        else:  # c[M + j] = +-c[M - j], and 0 at the centre for an odd state
+            m = (dim - 1) // 2
+            upper, lower = c[m + 1 :], c[:m][::-1]
+            assert np.array_equal(upper, lower) or (np.array_equal(upper, -lower) and c[m] == 0.0)
+
+
+@pytest.mark.parametrize(
+    "spec, rep",
+    [
+        (CircuitSpec.transmon(0.2, 10.0, 0.0), charge_basis()),
+        (CircuitSpec.fluxonium(2.5, 0.5, 10.0, 0.3), DvrRep(DvrKind.TRADITIONAL_PHASE, Spacing(5, 32, pi=True))),
+        (CircuitSpec.fluxonium(2.5, 0.5, 10.0, 0.3), DvrRep(DvrKind.TRUNCATED_CHARGE, Spacing(1, 8))),
+        (CircuitSpec.fluxonium(2.5, 0.5, 10.0, 0.3), HoRep(LengthScale.LC)),
+    ],
+    ids=lambda x: getattr(x, "label", None),
+)
+def test_states_of_a_circuit_that_does_not_split_are_the_dense_ones(spec, rep):
+    assert not splits_by_parity(spec, rep)
+    got = lowest_states(spec, rep, 41, 5)
+    want = eigensolve(assemble(spec, rep, 41), 5)
+    assert np.array_equal(got.energies, want.energies) and np.array_equal(got.eigvectors, want.eigvectors)
