@@ -14,13 +14,17 @@ direct LAPACK call (:func:`_lowest_values`).  A dense Hamiltonian that
 commutes with the parity theta -> -theta (:func:`splits_by_parity`, decided
 from the circuit) is solved as an even and an odd block of half the size; a
 DVR builds them on the half grid as Toeplitz +- Hankel, strided views of the
-summed column, plus the diagonal.  :func:`lowest_states` solves the same
+summed column, plus the diagonal; the HO basis as the tridiagonal parts of
+its quadratic terms plus the cosine's cached parity blocks
+(:func:`ho.cos_parity_blocks`).  :func:`lowest_states` solves the same
 blocks for eigenvectors and maps them back to the full basis.
 A sweep for the ground level alone solves one of the two blocks and proves
 with one shifted Cholesky factorization (:func:`_bounded_below`) that the
 other has nothing lower, solving it only when that proof fails.
-Reference energies come from a closed form (LC), a large harmonic-oscillator
-diagonalization (fluxonium), or a bisected large charge basis (transmon).
+Reference energies come from a closed form (LC), or from one call into the
+sweep engine at a large size: every level of the LC-scale harmonic-oscillator
+basis at its embedding size (fluxonium), or the bisected lowest levels of a
+large charge basis (transmon).
 """
 
 from __future__ import annotations
@@ -45,7 +49,16 @@ from .dvr import (
 )
 from .errors import ConfigError, IncompatibleRepresentationError, NumericalError
 from .fdm import Boundary, FdGrid, fd_hamiltonian
-from .ho import DEFAULT_EMBED_DIM, HoBasis, LengthScale, cos_in_ho, length_scale, quadratic_operators
+from .ho import (
+    DEFAULT_EMBED_DIM,
+    HoBasis,
+    LengthScale,
+    cos_in_ho,
+    cos_parity_blocks,
+    length_scale,
+    quadratic_bands,
+    quadratic_operators,
+)
 
 HERMITICITY_RTOL = 1e-13
 FLUXONIUM_ORACLE_DIM = DEFAULT_EMBED_DIM
@@ -225,19 +238,27 @@ def _assemble_dvr(spec: CircuitSpec, rep: DvrRep, dim: int) -> OperatorMatrix:
     return OperatorMatrix(h)
 
 
-def _assemble_ho(spec: CircuitSpec, rep: HoRep, dim: int) -> OperatorMatrix:
+def _ho_basis(spec: CircuitSpec, rep: HoRep, dim: int) -> HoBasis:
     if spec.family is Family.TRANSMON:
         raise IncompatibleRepresentationError("harmonic-oscillator transmon is unsupported")
     if dim > rep.embed_dim:
         raise ConfigError(f"matrix dimension {dim} exceeds the HO embedding size {rep.embed_dim}")
-    basis = HoBasis(length_scale(spec, rep.scale), dim, rep.embed_dim)
+    return HoBasis(length_scale(spec, rep.scale), dim, rep.embed_dim)
+
+
+def _check_finite_ho(h: np.ndarray, basis: HoBasis) -> None:
+    if not np.isfinite(h).all():
+        raise ConfigError(f"the HO Hamiltonian at theta0 = {basis.theta0!r} is not finite")
+
+
+def _assemble_ho(spec: CircuitSpec, rep: HoRep, dim: int) -> OperatorMatrix:
+    basis = _ho_basis(spec, rep, dim)
     theta2, n2 = quadratic_operators(basis)
     with np.errstate(over="ignore", invalid="ignore"):
         h = 4.0 * spec.E_C * n2.entries + 0.5 * spec.E_L * theta2.entries
         if spec.family is Family.FLUXONIUM:
             h = h - spec.E_J * cos_in_ho(basis, spec.A).entries
-    if not np.isfinite(h).all():
-        raise ConfigError(f"the HO Hamiltonian at theta0 = {basis.theta0!r} is not finite")
+    _check_finite_ho(h, basis)
     return OperatorMatrix(h)
 
 
@@ -260,16 +281,34 @@ def assemble(spec: CircuitSpec, rep: Representation, dim: int) -> OperatorMatrix
     return _assemble_fd(spec, rep, dim)
 
 
+# rows per strip of the Hermiticity check: h[strip] - h[:, strip]^H reads h
+# in cache-sized pieces and holds a strip, not a matrix, of temporaries
+_GATE_ROWS = 128
+
+
 def _solver_matrix(h: np.ndarray) -> np.ndarray:
     """The one gate before LAPACK: reject a non-Hermitian matrix (a NaN
     defect fails the comparison too), then drop a numerically-zero imaginary
-    part so LAPACK takes the real path."""
-    tol = HERMITICITY_RTOL * max(float(np.abs(h).max(initial=0.0)), 1.0)
+    part so LAPACK takes the real path.
+
+    The defect is max |h - h^H| and the tolerance HERMITICITY_RTOL times
+    max(max |h|, 1).  D = h - h^H is anti-Hermitian, so for a real h its
+    largest entry is its largest magnitude: no absolute value is taken, and
+    max |h| is max(max h, -min h).  A NaN anywhere in h is a NaN in D.
+    """
     complex_h = np.iscomplexobj(h)
-    defect = float(np.abs(h - (h.conj().T if complex_h else h.T)).max(initial=0.0))
-    if not defect <= tol:
-        raise NumericalError(f"matrix is not Hermitian (defect {defect:.3e})")
-    if complex_h and float(np.abs(h.imag).max(initial=0.0)) <= tol:
+    strips = [slice(r, r + _GATE_ROWS) for r in range(0, h.shape[0], _GATE_ROWS)]
+    if complex_h:
+        scale = max((np.abs(h[rows]).max() for rows in strips), default=0.0)
+    else:
+        scale = max(h.max(initial=0.0), -h.min(initial=0.0))
+    tol = HERMITICITY_RTOL * max(scale, 1.0)
+    for rows in strips:
+        d = h[rows] - (h[:, rows].conj().T if complex_h else h[:, rows].T)
+        defect = np.abs(d).max() if complex_h else d.max()
+        if not defect <= tol:
+            raise NumericalError(f"matrix is not Hermitian (defect {defect:.3e})")
+    if complex_h and max(h.imag.max(initial=0.0), -h.imag.min(initial=0.0)) <= tol:
         return np.ascontiguousarray(h.real)
     return h
 
@@ -459,22 +498,50 @@ def _dvr_parity_blocks(spec: CircuitSpec, rep: DvrRep) -> Callable[[int], tuple[
     return blocks
 
 
+def _ho_parity_blocks(spec: CircuitSpec, rep: HoRep) -> Callable[[int], tuple[np.ndarray, np.ndarray]]:
+    """blocks(dim): the blocks of the HO Hamiltonian H(dim) on the even states
+    m = 0, 2, ... and on the odd states m = 1, 3, ..., bit for bit
+    H(dim)[0::2, 0::2] and H(dim)[1::2, 1::2] of :func:`assemble`, without
+    the full matrix.
+
+    4 E_C N^2 + E_L theta^2 / 2 couples m only to m and m +- 2, so on each
+    parity it is tridiagonal (:func:`ho.quadratic_bands`); a fluxonium adds
+    -E_J times the cosine's block (:func:`ho.cos_parity_blocks`), read from
+    the cached embedding.  Only a parity-even circuit is the two blocks alone.
+    """
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def blocks(dim: int) -> tuple[np.ndarray, np.ndarray]:
+        basis = _ho_basis(spec, rep, dim)
+        (theta2, theta2_band), (n2, n2_band) = quadratic_bands(basis)
+        diag = 4.0 * spec.E_C * n2 + 0.5 * spec.E_L * theta2
+        band = 4.0 * spec.E_C * n2_band + 0.5 * spec.E_L * theta2_band
+        if spec.family is Family.FLUXONIUM:
+            parts = [-spec.E_J * c for c in cos_parity_blocks(basis, spec.A)]
+        else:
+            parts = [np.zeros(((dim + 1) // 2,) * 2), np.zeros((dim // 2,) * 2)]
+        for parity, h in enumerate(parts):
+            n = h.shape[0]
+            flat = h.reshape(-1)  # (k, k + 1) of the block is (m, m + 2) of H
+            flat[:: n + 1] += diag[parity::2]
+            flat[1 :: n + 1] += band[parity::2]
+            flat[n :: n + 1] += band[parity::2]
+            _check_finite_ho(h, basis)
+        return parts[0], parts[1]
+
+    return blocks
+
+
 def _parity_blocks_by_size(
     spec: CircuitSpec, rep: Representation
 ) -> Callable[[int], tuple[np.ndarray, np.ndarray]]:
     """blocks(dim): the (even, odd) blocks of H(dim), of sizes (dim + 1) // 2
-    and dim // 2; for a nested representation the blocks of H(d) lead those
-    of H(dim)."""
+    and dim // 2, for a DVR or the HO basis; for a nested representation the
+    blocks of H(d) lead those of H(dim)."""
+    check_compatible(spec, rep)
     if isinstance(rep, DvrRep):
-        check_compatible(spec, rep)
         return _dvr_parity_blocks(spec, rep)
-
-    def blocks(dim: int) -> tuple[np.ndarray, np.ndarray]:
-        h = assemble(spec, rep, dim).entries
-        # the embedded cosine's off-parity entries are roundoff (up to 6e-14)
-        return np.ascontiguousarray(h[0::2, 0::2]), np.ascontiguousarray(h[1::2, 1::2])
-
-    return blocks
+    return _ho_parity_blocks(spec, rep)
 
 
 def _parity_blocks(spec: CircuitSpec, rep: Representation, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -674,10 +741,11 @@ def eigenvalues(spec: CircuitSpec, rep: Representation, dim: int, upto: int) -> 
 
 @lru_cache(maxsize=32)
 def _fluxonium_reference(spec: CircuitSpec) -> np.ndarray:
-    """Every eigenvalue of the LC-scale HO representation at FLUXONIUM_ORACLE_DIM."""
+    """Every eigenvalue of the LC-scale HO representation at size
+    FLUXONIUM_ORACLE_DIM, its embedding size: the sweep engine's solve, so a
+    parity-even fluxonium is solved as its two half-size blocks."""
     dim = FLUXONIUM_ORACLE_DIM
-    h = assemble(spec, HoRep(LengthScale.LC, dim), dim).entries
-    energies = scipy.linalg.eigvalsh(_solver_matrix(h))
+    energies = eigenvalues_by_size(spec, HoRep(LengthScale.LC, dim), (dim,), dim - 1)[0]
     energies.flags.writeable = False
     return energies
 

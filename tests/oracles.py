@@ -16,11 +16,17 @@ merges their lowest values, without the ground-level certificate of
 ``spectra.eigenvalues_by_size``.  The finite-difference stencil matrix sums
 one shifted identity per stencil offset instead of building one Toeplitz or
 circulant matrix from the stencil column.  The row-wise CSV writer formats
-one value at a time with ``cli._fmt`` instead of one column at a time.
+one value at a time with ``cli._fmt`` instead of one column at a time.  The
+closed-form HO cosine element evaluates the displacement-operator matrix
+element in 60-digit arithmetic.  The full-embedding HO cosine diagonalizes
+theta in all embed_dim states and
+evaluates cos(w + 2*pi*A) on its eigenvalues, apart from the half-size
+parity blocks of ``ho``.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import scipy.linalg
 
@@ -38,6 +44,7 @@ from dvrcircuits.dvr import (
 )
 from dvrcircuits.errors import ConfigError
 from dvrcircuits.fdm import Boundary, FdGrid, fd_coefficients
+from dvrcircuits.ho import HoBasis
 from dvrcircuits.spectra import (
     DvrRep,
     Representation,
@@ -224,3 +231,33 @@ def write_csv_by_rows(path, header: list[str], rows: list[tuple]) -> None:
     lines = [",".join(header)]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
+
+
+def cos_in_ho_by_full_embedding(basis: HoBasis, A: float) -> np.ndarray:
+    """cos(theta + 2*pi*A) from one eigendecomposition of the embed_dim x
+    embed_dim tridiagonal theta, truncated to dim."""
+    n = basis.embed_dim
+    w, u = scipy.linalg.eigh_tridiagonal(np.zeros(n), basis.theta0 * np.sqrt(np.arange(1, n) / 2.0))
+    return ((u * np.cos(w + 2.0 * np.pi * A)) @ u.T)[: basis.dim, : basis.dim]
+
+
+def ho_cos_element(theta0: float, A: float, m: int, n: int) -> float:
+    """<m|cos(theta + 2*pi*A)|n> for theta = (theta0 / sqrt(2)) (a_dag + a),
+    in 60-digit arithmetic.
+
+    With l = theta0 / sqrt(2), k = m - n >= 0 and e^{i theta} the displacement
+    by i l, <m|e^{+-i theta}|n> = sqrt(n!/m!) (+-i l)^k e^{-l^2/2} L_n^(k)(l^2)
+    (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)), so cos(theta) has the
+    entries with k even, (-1)^(k/2) times that magnitude, and sin(theta) those
+    with k odd, (-1)^((k-1)/2) times it; the matrix is symmetric.
+    """
+    m, n = max(m, n), min(m, n)
+    k = m - n
+    with mpmath.workdps(60):
+        lam = mpmath.mpf(theta0) / mpmath.sqrt(2)
+        size = mpmath.sqrt(mpmath.factorial(n) / mpmath.factorial(m)) * lam**k
+        size *= mpmath.exp(-lam**2 / 2) * mpmath.laguerre(n, k, lam**2)
+        phase = 2 * mpmath.pi * mpmath.mpf(A)
+        if k % 2:
+            return float(-mpmath.sin(phase) * (-1) ** ((k - 1) // 2) * size)
+        return float(mpmath.cos(phase) * (-1) ** (k // 2) * size)

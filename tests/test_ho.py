@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dvrcircuits import ho
 from dvrcircuits.circuits import CircuitSpec
 from dvrcircuits.errors import ConfigError
 from dvrcircuits.ho import (
@@ -13,6 +14,7 @@ from dvrcircuits.ho import (
     length_scale,
     quadratic_operators,
 )
+from oracles import cos_in_ho_by_full_embedding, ho_cos_element
 
 FLUXONIUM = CircuitSpec.fluxonium(2.5, 0.5, 10.0, 0.5)
 
@@ -113,6 +115,57 @@ def test_cached_cos_cannot_be_corrupted_by_callers():
     with pytest.raises(ValueError):
         cos_in_ho(basis, 0.0).entries[0, 0] = 99.0
     assert cos_in_ho(basis, 0.0).entries[0, 0] == before
+    for block in ho._embedded_blocks(2.5, 1001):
+        with pytest.raises(ValueError):
+            block[0, 0] = 99.0
+    assert cos_in_ho(basis, 0.0).entries[0, 0] == before
+
+
+_EPS = np.finfo(float).eps
+_FLUX = 0.3
+# entries of the top-left 301 block: the corners, both parities next to the
+# diagonal, and a seeded sample
+_ENTRIES = [(0, 0), (0, 1), (1, 0), (300, 300), (299, 300), (300, 0), (150, 151), (151, 151)] + [
+    (int(m), int(n)) for m, n in np.random.default_rng(16).integers(0, 301, (32, 2))
+]
+
+
+@pytest.mark.parametrize("scale", list(LengthScale))
+def test_cos_matches_the_closed_form_elements(scale):
+    # Measured once over the whole top-left 301 block against
+    # oracles.ho_cos_element (60 digits, 1001-state embedding), the largest
+    # errors were 41 eps in cos(theta) and 45 eps in sin(theta), both at the
+    # plasma scale; |cos 2 pi A| 41 + |sin 2 pi A| 45 <= 62 for every A.
+    theta0 = length_scale(FLUXONIUM, scale)
+    c = cos_in_ho(HoBasis(theta0, 301, 1001), _FLUX).entries
+    got = np.array([c[m, n] for m, n in _ENTRIES])
+    want = np.array([ho_cos_element(theta0, _FLUX, m, n) for m, n in _ENTRIES])
+    assert np.abs(got - want).max() <= 64 * _EPS
+
+
+@pytest.mark.parametrize("scale", list(LengthScale))
+def test_cos_at_half_integer_2A_has_exactly_zero_off_parity_entries(scale):
+    basis = HoBasis(length_scale(FLUXONIUM, scale), 301, 1001)
+    at_zero = cos_in_ho(basis, 0.0).entries
+    for A, sign in ((0.0, 1.0), (0.5, -1.0), (1.0, 1.0)):
+        c = cos_in_ho(basis, A).entries
+        assert not c[0::2, 1::2].any() and not c[1::2, 0::2].any()
+        assert np.array_equal(c, sign * at_zero)
+
+
+@pytest.mark.parametrize("scale", list(LengthScale))
+def test_cos_matches_the_full_embedding(scale):
+    # both routes are within 64 eps of the closed forms (the bound of
+    # test_cos_matches_the_closed_form_elements)
+    basis = HoBasis(length_scale(FLUXONIUM, scale), 301, 1001)
+    got = cos_in_ho(basis, _FLUX).entries
+    assert np.abs(got - cos_in_ho_by_full_embedding(basis, _FLUX)).max() <= 128 * _EPS
+
+
+def test_cos_rejects_an_embedding_whose_theta_squared_overflows():
+    # theta0^2 m / 2 overflows from m = 4 on
+    with pytest.raises(ConfigError, match="not finite"):
+        cos_in_ho(HoBasis(1e154, 3, 101), 0.5)
 
 
 def test_cos_truncation_insensitive():

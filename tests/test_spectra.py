@@ -14,6 +14,7 @@ from dvrcircuits.circuits import CircuitSpec
 from dvrcircuits.dvr import DvrBasis, DvrKind, Spacing
 from dvrcircuits.errors import ConfigError, IncompatibleRepresentationError, NumericalError
 from dvrcircuits.fdm import Boundary
+from dvrcircuits import ho
 from dvrcircuits.ho import LengthScale
 from dvrcircuits.dvr import OperatorMatrix
 from dvrcircuits import spectra
@@ -334,6 +335,16 @@ def test_parity_blocks_of_each_size_lead_those_of_the_largest(case, a, b):
         assert np.array_equal(small, big[:n, :n])
 
 
+@pytest.mark.parametrize("spec", [LC, FLUXONIUM, CircuitSpec.fluxonium(2.5, 0.5, 10.0, 0.3)], ids=["lc", "A0.5", "A0.3"])
+def test_ho_parity_blocks_are_the_parity_slices_of_the_assembled_matrix(spec):
+    for scale in LengthScale if spec is not LC else [LengthScale.LC]:
+        rep = HoRep(scale, 121)
+        for d in (1, 2, 21, 121):
+            h = assemble(spec, rep, d).entries
+            even, odd = _parity_blocks(spec, rep, d)
+            assert np.array_equal(even, h[0::2, 0::2]) and np.array_equal(odd, h[1::2, 1::2])
+
+
 def test_parity_blocks_have_the_half_sizes():
     for rep in ALL_DVR_REPS + [HoRep(LengthScale.LC, 121)]:
         for d in (1, 3, 21):
@@ -502,9 +513,38 @@ def test_fluxonium_reference_convergence_guard():
 
 
 def test_fluxonium_reference_is_the_ho_representation_at_its_embedding():
-    want = scipy.linalg.eigvalsh(assemble(FLUXONIUM, HoRep(LengthScale.LC), 1001).entries)
-    got = [reference_energy(FLUXONIUM, n) for n in range(1001)]
-    assert np.array_equal(got, want)
+    # The oracle solves the two parity blocks of H(1001), whose off-parity
+    # entries are exactly 0 at half flux, so its exact eigenvalues are those of
+    # the dense H.  Both solvers are backward stable: each returns the exact
+    # eigenvalues of H + E, and by Weyl's inequality each value then moves by
+    # at most ||E||_2 <= p(n) eps ||H||_2.  p(n) is taken as sqrt(n), the usual
+    # growth of rounding errors accumulated over n-term sums (Higham, Accuracy
+    # and Stability of Numerical Algorithms, 2nd ed., sec. 2.8), and
+    # ||H||_2 = max |eigenvalue|.  The two routes differ by at most twice that.
+    h = assemble(FLUXONIUM, HoRep(LengthScale.LC), 1001).entries
+    want = scipy.linalg.eigvalsh(h)
+    got = np.array([reference_energy(FLUXONIUM, n) for n in range(1001)])
+    assert np.array_equal(h[0::2, 1::2], np.zeros((501, 500)))
+    bound = 2.0 * math.sqrt(1001) * _EPS * np.abs(want).max()
+    assert np.abs(got - want).max() <= bound
+
+
+def test_ho_sweeps_after_the_benchmark_set_up_reuse_the_embeddings(monkeypatch):
+    # the benchmark builds the fluxonium oracle and one HO matrix per length
+    # scale before it times a pass; a sweep or a state solve at d <= 301 must
+    # then read the cached embeddings, not diagonalize theta again
+    spectra._fluxonium_reference.cache_clear()
+    ho._embedded_blocks.cache_clear()
+    reference_energy(FLUXONIUM, 0)
+    for scale in LengthScale:
+        assemble(FLUXONIUM, HoRep(scale), 3)
+    calls = []
+    real = ho.eigh_tridiagonal
+    monkeypatch.setattr(ho, "eigh_tridiagonal", lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    for scale in LengthScale:
+        eigenvalues_by_size(FLUXONIUM, HoRep(scale), (3, 151, 301), 2)
+        lowest_states(FLUXONIUM, HoRep(scale), 301, 5)
+    assert calls == []
 
 
 def test_cached_arrays_are_read_only():
