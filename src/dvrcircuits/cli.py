@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +127,8 @@ class RunConfig:
     shift_rediagonalize: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.shift_rediagonalize, bool):
+            raise ConfigError(f"shift_rediagonalize must be true or false, got {self.shift_rediagonalize!r}")
         if not self.representations:
             raise ConfigError("representation list must not be empty")
         if not self.sizes:
@@ -169,38 +171,34 @@ def _parse_sizes(raw) -> tuple[int, ...]:
     raise ConfigError(f"sizes must be a list or a range spec, got {raw!r}")
 
 
+# one parser per RunConfig field, in the order the fields are parsed; a field
+# the config leaves out takes the dataclass default
+_FIELD_PARSERS = {
+    "circuit": CircuitSpec.from_dict,
+    "representations": lambda raw: tuple(rep_from_dict(r) for r in raw),
+    "sizes": _parse_sizes,
+    "levels": lambda raw: tuple(json_int(n, "level") for n in raw),
+    "threshold_GHz": lambda raw: json_number(raw, "threshold_GHz"),
+    "scale": Scale,
+    "decompose_floor": lambda raw: json_number(raw, "decompose_floor"),
+    "shift_betas": lambda raw: tuple(json_int(b, "shift beta") for b in raw),
+    "shift_direction": lambda raw: json_int(raw, "shift_direction"),
+    "shift_rediagonalize": lambda raw: raw,  # checked by RunConfig
+}
+
+
 def config_from_dict(data: dict) -> RunConfig:
-    known = {
-        "circuit", "representations", "sizes", "levels", "threshold_GHz",
-        "scale", "decompose_floor", "shift_betas", "shift_direction",
-        "shift_rediagonalize",
-    }
-    unknown = set(data) - known
+    unknown = set(data) - set(_FIELD_PARSERS)
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    for required in ("circuit", "representations", "sizes"):
-        if required not in data:
-            raise ConfigError(f"config requires a '{required}' field")
+    for field in fields(RunConfig):
+        if field.default is MISSING and field.name not in data:
+            raise ConfigError(f"config requires a '{field.name}' field")
     try:
-        fields = dict(
-            circuit=CircuitSpec.from_dict(data["circuit"]),
-            representations=tuple(rep_from_dict(r) for r in data["representations"]),
-            sizes=_parse_sizes(data["sizes"]),
-            levels=tuple(json_int(n, "level") for n in data.get("levels", [0])),
-            threshold_GHz=json_number(data.get("threshold_GHz", DEFAULT_THRESHOLD_GHZ), "threshold_GHz"),
-            scale=Scale(data.get("scale", "absolute")),
-            decompose_floor=json_number(data.get("decompose_floor", 1e-20), "decompose_floor"),
-            shift_betas=tuple(json_int(b, "shift beta") for b in data.get("shift_betas", [0, 1, 2])),
-            shift_direction=json_int(data.get("shift_direction", 1), "shift_direction"),
-            shift_rediagonalize=data.get("shift_rediagonalize", False),
-        )
+        parsed = {name: parse(data[name]) for name, parse in _FIELD_PARSERS.items() if name in data}
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
-    if not isinstance(fields["shift_rediagonalize"], bool):
-        raise ConfigError(
-            f"shift_rediagonalize must be true or false, got {fields['shift_rediagonalize']!r}"
-        )
-    return RunConfig(**fields)
+    return RunConfig(**parsed)
 
 
 def load_config(path: str) -> RunConfig:

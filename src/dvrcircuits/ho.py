@@ -6,11 +6,11 @@ length scale theta0 is fixed:
     theta = (theta0 / sqrt(2)) (a_dag + a)
     N     = (i / (sqrt(2) theta0)) (a_dag - a)
 
-theta^2 and N^2 are pentadiagonal with closed-form elements, written at the
-requested size.  Functions of theta (the cosine term) are the one place the
-embedding is used: they are evaluated in a large embedding space and
-truncated afterwards, so every matrix size is a sub-matrix of the same
-embedded operator.  theta couples only states of opposite parity, so in
+theta^2 and N^2 are pentadiagonal with closed-form elements, given as their
+bands at the requested size.  Functions of theta (the cosine term) are the
+one place the embedding is used: they are evaluated in a large embedding
+space and truncated afterwards, so every matrix size is a sub-matrix of the
+same embedded operator.  theta couples only states of opposite parity, so in
 (even, odd) order it is [[0, B^T], [B, 0]] with B bidiagonal, and
 cos(theta) is block diagonal with the blocks cos(sqrt(B^T B)) and
 cos(sqrt(B B^T)), sin(theta) off-diagonal with the block
@@ -81,38 +81,23 @@ def ho_operators(basis: HoBasis) -> tuple[OperatorMatrix, OperatorMatrix]:
     return OperatorMatrix(theta), OperatorMatrix(n)
 
 
-def _pentadiagonal(diag: np.ndarray, off2: np.ndarray) -> np.ndarray:
-    """Symmetric matrix with diag on the diagonal and off2 on the +-2 bands."""
-    d = diag.shape[0]
-    h = np.zeros((d, d))
-    i = np.arange(d - 2)
-    h[i, i + 2] = h[i + 2, i] = off2
-    np.fill_diagonal(h, diag)
-    return h
-
-
 def quadratic_bands(basis: HoBasis) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """((diagonal, +-2 band) of theta^2, (diagonal, +-2 band) of N^2): the
-    exact infinite-basis elements of :func:`quadratic_operators` at dim."""
-    m = np.arange(basis.dim, dtype=float)
-    diag = m + 0.5
-    s = 0.5 * np.sqrt((m[:-2] + 1.0) * (m[:-2] + 2.0))
-    t2 = basis.theta0 * basis.theta0
-    return (t2 * diag, t2 * s), (diag / t2, -s / t2)
-
-
-def quadratic_operators(basis: HoBasis) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """(theta^2, N^2) with the exact infinite-basis elements, truncated to dim.
+    """((diagonal, +-2 band) of theta^2, (diagonal, +-2 band) of N^2) at dim,
+    the only nonzero bands of either.
 
     In the number basis, with s_m = sqrt((m + 1)(m + 2)) / 2,
 
         theta^2 = theta0^2 [(m + 1/2) on the diagonal, s_m on the +-2 bands]
         N^2     = [(m + 1/2), -s_m] / theta0^2,
 
-    so no edge corruption from squaring a truncated ladder operator arises.
+    the exact infinite-basis elements, so no edge corruption from squaring a
+    truncated ladder operator arises.
     """
-    theta2, n2 = quadratic_bands(basis)
-    return OperatorMatrix(_pentadiagonal(*theta2)), OperatorMatrix(_pentadiagonal(*n2))
+    m = np.arange(basis.dim, dtype=float)
+    diag = m + 0.5
+    s = 0.5 * np.sqrt((m[:-2] + 1.0) * (m[:-2] + 2.0))
+    t2 = basis.theta0 * basis.theta0
+    return (t2 * diag, t2 * s), (diag / t2, -s / t2)
 
 
 def _sqrt_eigh(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -178,19 +163,24 @@ def cos_parity_blocks(basis: HoBasis, A: float) -> tuple[np.ndarray, np.ndarray]
     return c * even[:n_even, :n_even], c * odd[:n_odd, :n_odd]
 
 
+def cos_off_parity_block(basis: HoBasis, A: float) -> np.ndarray:
+    """The block of cos(theta + 2*pi*A) from the even states of dim to the odd
+    ones: -sin(2 pi A) times that of sin(theta).  The block from the odd
+    states to the even ones is its transpose."""
+    n_even, n_odd = (basis.dim + 1) // 2, basis.dim // 2
+    _, s = _flux_phase(A)
+    return -s * _embedded_blocks(basis.theta0, basis.embed_dim)[2][:n_odd, :n_even]
+
+
 def cos_in_ho(basis: HoBasis, A: float) -> OperatorMatrix:
     """cos(theta + 2*pi*A) = cos(2 pi A) cos(theta) - sin(2 pi A) sin(theta),
     from theta's cached parity blocks in embed_dim states, formed on dim
     states only.  The entries between the parities are exactly 0 when 2A is
     an integer.  Read-only."""
-    even, odd = cos_parity_blocks(basis, A)
-    _, s = _flux_phase(A)
     c = np.zeros((basis.dim, basis.dim))
-    c[0::2, 0::2] = even
-    c[1::2, 1::2] = odd
-    if s:
-        sine = _embedded_blocks(basis.theta0, basis.embed_dim)[2][: odd.shape[0], : even.shape[0]]
-        c[1::2, 0::2] = -s * sine
+    c[0::2, 0::2], c[1::2, 1::2] = cos_parity_blocks(basis, A)
+    if _flux_phase(A)[1]:
+        c[1::2, 0::2] = cos_off_parity_block(basis, A)
         c[0::2, 1::2] = c[1::2, 0::2].T
     c.flags.writeable = False
     return OperatorMatrix(c)

@@ -16,7 +16,8 @@ from the circuit) is solved as an even and an odd block of half the size; a
 DVR builds them on the half grid as Toeplitz +- Hankel, strided views of the
 summed column, plus the diagonal; the HO basis as the tridiagonal parts of
 its quadratic terms plus the cosine's cached parity blocks
-(:func:`ho.cos_parity_blocks`).  :func:`lowest_states` solves the same
+(:func:`ho.cos_parity_blocks`), and :func:`assemble` builds the full HO
+matrix from the same blocks.  :func:`lowest_states` solves the same
 blocks for eigenvectors and maps them back to the full basis.
 A sweep for the ground level alone solves one of the two blocks and proves
 with one shifted Cholesky factorization (:func:`_bounded_below`) that the
@@ -53,11 +54,10 @@ from .ho import (
     DEFAULT_EMBED_DIM,
     HoBasis,
     LengthScale,
-    cos_in_ho,
+    cos_off_parity_block,
     cos_parity_blocks,
     length_scale,
     quadratic_bands,
-    quadratic_operators,
 )
 
 HERMITICITY_RTOL = 1e-13
@@ -246,19 +246,15 @@ def _ho_basis(spec: CircuitSpec, rep: HoRep, dim: int) -> HoBasis:
     return HoBasis(length_scale(spec, rep.scale), dim, rep.embed_dim)
 
 
-def _check_finite_ho(h: np.ndarray, basis: HoBasis) -> None:
-    if not np.isfinite(h).all():
-        raise ConfigError(f"the HO Hamiltonian at theta0 = {basis.theta0!r} is not finite")
-
-
 def _assemble_ho(spec: CircuitSpec, rep: HoRep, dim: int) -> OperatorMatrix:
-    basis = _ho_basis(spec, rep, dim)
-    theta2, n2 = quadratic_operators(basis)
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = 4.0 * spec.E_C * n2.entries + 0.5 * spec.E_L * theta2.entries
-        if spec.family is Family.FLUXONIUM:
-            h = h - spec.E_J * cos_in_ho(basis, spec.A).entries
-    _check_finite_ho(h, basis)
+    """The parity blocks (:func:`_ho_parity_blocks`) on the even and the odd
+    states, and for a fluxonium whose 2A is not an integer -E_J times the
+    cosine's entries between the parities, which are finite (|entry| <= E_J)."""
+    h = np.zeros((dim, dim))
+    h[0::2, 0::2], h[1::2, 1::2] = _ho_parity_blocks(spec, rep)(dim)
+    if not parity_even(spec):
+        h[1::2, 0::2] = -spec.E_J * cos_off_parity_block(_ho_basis(spec, rep, dim), spec.A)
+        h[0::2, 1::2] = h[1::2, 0::2].T
     return OperatorMatrix(h)
 
 
@@ -500,9 +496,8 @@ def _dvr_parity_blocks(spec: CircuitSpec, rep: DvrRep) -> Callable[[int], tuple[
 
 def _ho_parity_blocks(spec: CircuitSpec, rep: HoRep) -> Callable[[int], tuple[np.ndarray, np.ndarray]]:
     """blocks(dim): the blocks of the HO Hamiltonian H(dim) on the even states
-    m = 0, 2, ... and on the odd states m = 1, 3, ..., bit for bit
-    H(dim)[0::2, 0::2] and H(dim)[1::2, 1::2] of :func:`assemble`, without
-    the full matrix.
+    m = 0, 2, ... and on the odd states m = 1, 3, ..., from which
+    :func:`assemble` builds H(dim).
 
     4 E_C N^2 + E_L theta^2 / 2 couples m only to m and m +- 2, so on each
     parity it is tridiagonal (:func:`ho.quadratic_bands`); a fluxonium adds
@@ -526,7 +521,8 @@ def _ho_parity_blocks(spec: CircuitSpec, rep: HoRep) -> Callable[[int], tuple[np
             flat[:: n + 1] += diag[parity::2]
             flat[1 :: n + 1] += band[parity::2]
             flat[n :: n + 1] += band[parity::2]
-            _check_finite_ho(h, basis)
+            if not np.isfinite(h).all():
+                raise ConfigError(f"the HO Hamiltonian at theta0 = {basis.theta0!r} is not finite")
         return parts[0], parts[1]
 
     return blocks

@@ -7,10 +7,11 @@ filled at the boundary for the traditional phase DVR, wrapped for the
 truncated one.
 
 In a phase DVR the flux enters only through one grid diagonal,
--E_J cos(theta_alpha + 2*pi*A).  A flux sweep that holds the state therefore
-costs one assembly and one ground-state solve per representation, plus O(d)
-per (A, beta): the grid populations |c_alpha|^2 against cos and sin on the
-grid.  A sweep that rediagonalizes re-assembles and re-solves at each A.
+-E_J cos(theta_alpha + 2*pi*A).  So H(A) - H(A_0) is that diagonal's change,
+and a flux sweep assembles H once, at the circuit's own A_0; each row is then
+O(d): the grid populations |c_alpha|^2 against cos and sin on the grid.  A
+sweep that holds the state solves for it once per representation; one that
+rediagonalizes re-solves at each A, and reads its rows by the same formula.
 Every state comes from :func:`spectra.lowest_states`, which solves the two
 parity blocks of a parity-even circuit.
 """
@@ -22,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import CircuitSpec, Family
-from .dvr import DvrBasis, OperatorMatrix, grid_points, sine_in_phase
+from .dvr import DvrBasis, OperatorMatrix, grid_points
 from .errors import ConfigError
-from .spectra import DvrRep, Spectrum, assemble, lowest_states
+from .spectra import DvrRep, Spectrum, assemble, concrete_dvr_basis, lowest_states
 
 
 @dataclass(frozen=True)
@@ -116,8 +117,11 @@ def expectation(op: OperatorMatrix, state: StateVector) -> float:
     return value.real
 
 
-def _fluxonium_at(spec: CircuitSpec, A: float) -> CircuitSpec:
-    return CircuitSpec.fluxonium(spec.E_C, spec.E_L, spec.E_J, A)
+def _grid_dot(p: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """p . f over the last (grid) axis, broadcast over the others, as one dot
+    product per result (stacked 1 x d by d x 1 products): each is the sum that
+    ``p[i] @ f[j]`` of two vectors gives, bit for bit."""
+    return (p[..., None, :] @ f[..., :, None])[..., 0, 0]
 
 
 def flux_sweep(
@@ -134,48 +138,42 @@ def flux_sweep(
     The ground state is prepared at the circuit's own flux ratio (A = 1/2 in
     the reference configuration), shifted once per beta, and held fixed while
     the flux-dependent operators sweep A; rows are (A, phi, <H(A)>,
-    <sin(theta + 2*pi*A)>).  The flux is one grid diagonal, so a held state's
-    rows need H only at the circuit's own A_0: with grid populations
-    p = |c|^2, <H(A)> is the flux-independent rest
-    <H(A_0)> + E_J p.cos(theta + 2*pi*A_0) minus E_J p.cos(theta + 2*pi*A),
-    and the current is p.sin(theta + 2*pi*A).
+    <sin(theta + 2*pi*A)>).  The flux is one grid diagonal, so every row needs
+    H only at the circuit's own A_0: with grid populations p = |c|^2, <H(A)>
+    is the flux-independent rest <H(A_0)> + E_J p.cos(theta + 2*pi*A_0) minus
+    E_J p.cos(theta + 2*pi*A), and the current is p.sin(theta + 2*pi*A).
     With ``rediagonalize`` the state is re-prepared as the ground state at
-    each swept A instead, which re-assembles and re-solves H(A) there.
+    each swept A instead; only that solve depends on A.
     """
     if spec.family is not Family.FLUXONIUM:
         raise ConfigError("flux sweeps are defined for the fluxonium")
+    if not isinstance(rep, DvrRep):
+        raise ConfigError(f"flux sweeps need a sinc-DVR representation, got {rep!r}")
     if rep.spacing is None:
         raise ConfigError("flux sweeps need an explicit grid spacing")
-    basis = DvrBasis(rep.kind, rep.spacing, (dim - 1) // 2)
+    basis = concrete_dvr_basis(rep, dim)
     if not basis.kind.is_phase:
         raise ConfigError("flux sweeps require a phase DVR")
-    if a_values is None:
-        a_values = np.linspace(0.0, 1.0, 101)
+    a_values = np.linspace(0.0, 1.0, 101) if a_values is None else np.asarray(a_values, dtype=float)
     h = assemble(spec, rep, dim)  # at the circuit's own A, on either path
-    shifts = [ShiftSpec(beta, direction) for beta in betas]
-    rows = []
     if rediagonalize:
-        for a in a_values:
-            spec_a = _fluxonium_at(spec, float(a))
-            h_a = assemble(spec_a, rep, dim)
-            current_a = sine_in_phase(basis, float(a))
-            base = StateVector.from_eigenvector(lowest_states(spec_a, rep, dim, 1), 0)
-            for shift in shifts:
-                state, _ = apply_shift(base, basis, shift)
-                rows.append((float(a), shift.phi(basis), expectation(h_a, state), expectation(current_a, state)))
-        return rows
-    ground = StateVector.from_eigenvector(lowest_states(spec, rep, dim, 1), 0)
+        specs = [CircuitSpec.fluxonium(spec.E_C, spec.E_L, spec.E_J, a) for a in a_values.tolist()]
+    else:
+        specs = [spec]
+    shifts = [ShiftSpec(beta, direction) for beta in betas]
+    grounds = [StateVector.from_eigenvector(lowest_states(s, rep, dim, 1), 0) for s in specs]
+    # one row per prepared ground state, one column per beta
+    states = [[apply_shift(ground, basis, shift)[0] for shift in shifts] for ground in grounds]
+    shape = (len(grounds), len(shifts))
+    p = np.abs(np.reshape([[state.coefficients for state in row] for row in states], (*shape, dim))) ** 2
     theta = grid_points(basis)
     # the same grid values _dvr_terms puts on the diagonal of H
     cos_own = np.cos(theta + 2.0 * np.pi * spec.A)
-    held = []
-    for shift in shifts:
-        state, _ = apply_shift(ground, basis, shift)
-        p = np.abs(state.coefficients) ** 2
-        held.append((shift.phi(basis), p, expectation(h, state) + spec.E_J * (p @ cos_own)))
-    for a in a_values:
-        arg = theta + 2.0 * np.pi * float(a)
-        cos_a, sin_a = np.cos(arg), np.sin(arg)
-        for phi, p, rest in held:
-            rows.append((float(a), phi, float(rest - spec.E_J * (p @ cos_a)), float(p @ sin_a)))
-    return rows
+    rest = np.reshape([[expectation(h, state) for state in row] for row in states], shape)
+    rest = rest + spec.E_J * _grid_dot(p, cos_own)
+    arg = theta + 2.0 * np.pi * a_values[:, None, None]
+    energies = rest - spec.E_J * _grid_dot(p, np.cos(arg))
+    currents = _grid_dot(p, np.sin(arg))
+    a_column = np.repeat(a_values, len(shifts)).tolist()
+    phis = [shift.phi(basis) for shift in shifts] * a_values.size
+    return list(zip(a_column, phis, energies.ravel().tolist(), currents.ravel().tolist()))

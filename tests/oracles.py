@@ -18,7 +18,10 @@ one shifted identity per stencil offset instead of building one Toeplitz or
 circulant matrix from the stencil column.  The row-wise CSV writer formats
 one value at a time with ``cli._fmt`` instead of one column at a time.  The
 closed-form HO cosine element evaluates the displacement-operator matrix
-element in 60-digit arithmetic.  The full-embedding HO cosine diagonalizes
+element in 60-digit arithmetic.  The dense HO Hamiltonian sums the
+pentadiagonal theta^2 and N^2 and the dense cosine of ``ho.cos_in_ho`` as
+full matrices, apart from the parity blocks ``spectra.assemble`` builds it
+from.  The full-embedding HO cosine diagonalizes
 theta in all embed_dim states and
 evaluates cos(w + 2*pi*A) on its eigenvalues, apart from the half-size
 parity blocks of ``ho``.
@@ -44,9 +47,10 @@ from dvrcircuits.dvr import (
 )
 from dvrcircuits.errors import ConfigError
 from dvrcircuits.fdm import Boundary, FdGrid, fd_coefficients
-from dvrcircuits.ho import HoBasis
+from dvrcircuits.ho import HoBasis, cos_in_ho, length_scale, quadratic_bands
 from dvrcircuits.spectra import (
     DvrRep,
+    HoRep,
     Representation,
     _block_solver,
     _parity_blocks,
@@ -261,3 +265,24 @@ def ho_cos_element(theta0: float, A: float, m: int, n: int) -> float:
         if k % 2:
             return float(-mpmath.sin(phase) * (-1) ** ((k - 1) // 2) * size)
         return float(mpmath.cos(phase) * (-1) ** (k // 2) * size)
+
+
+def pentadiagonal(diag: np.ndarray, off2: np.ndarray) -> np.ndarray:
+    """Symmetric matrix with diag on the diagonal and off2 on the +-2 bands."""
+    d = diag.shape[0]
+    h = np.zeros((d, d))
+    i = np.arange(d - 2)
+    h[i, i + 2] = h[i + 2, i] = off2
+    np.fill_diagonal(h, diag)
+    return h
+
+
+def ho_hamiltonian_dense(spec: CircuitSpec, rep: HoRep, dim: int) -> np.ndarray:
+    """4 E_C N^2 + E_L theta^2 / 2 - E_J cos(theta + 2*pi*A) in the HO basis,
+    each term a dense dim x dim matrix."""
+    basis = HoBasis(length_scale(spec, rep.scale), dim, rep.embed_dim)
+    theta2, n2 = (pentadiagonal(*bands) for bands in quadratic_bands(basis))
+    h = 4.0 * spec.E_C * n2 + 0.5 * spec.E_L * theta2
+    if spec.family is Family.FLUXONIUM:
+        h = h - spec.E_J * cos_in_ho(basis, spec.A).entries
+    return h

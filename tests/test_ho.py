@@ -12,9 +12,9 @@ from dvrcircuits.ho import (
     cos_in_ho,
     ho_operators,
     length_scale,
-    quadratic_operators,
+    quadratic_bands,
 )
-from oracles import cos_in_ho_by_full_embedding, ho_cos_element
+from oracles import cos_in_ho_by_full_embedding, ho_cos_element, pentadiagonal
 
 FLUXONIUM = CircuitSpec.fluxonium(2.5, 0.5, 10.0, 0.5)
 
@@ -66,26 +66,31 @@ def test_canonical_commutator_on_interior():
     assert np.abs(interior).max() < 1e-12
 
 
-def test_quadratic_operators_free_of_edge_corruption():
-    basis = HoBasis(1.7, 6, 1001)
-    theta2, n2 = quadratic_operators(basis)
+def _quadratic_matrices(basis):
+    """(theta^2, N^2) as dense matrices from their bands."""
+    return tuple(pentadiagonal(*bands) for bands in quadratic_bands(basis))
+
+
+def test_quadratic_bands_free_of_edge_corruption():
+    theta2, n2 = _quadratic_matrices(HoBasis(1.7, 6, 1001))
     big_t, big_n = ho_operators(HoBasis(1.7, 20, 1001))
-    assert np.allclose(theta2.entries, (big_t.entries @ big_t.entries)[:6, :6].real)
-    assert np.allclose(n2.entries, (big_n.entries @ big_n.entries)[:6, :6].real)
+    assert np.allclose(theta2, (big_t.entries @ big_t.entries)[:6, :6].real)
+    assert np.allclose(n2, (big_n.entries @ big_n.entries)[:6, :6].real)
 
 
 @pytest.mark.parametrize("scale", list(LengthScale))
 @pytest.mark.parametrize("dim", [3, 31, 301, 1001])
-def test_quadratic_operators_match_long_double_closed_form(scale, dim):
+def test_quadratic_bands_match_long_double_closed_form(scale, dim):
     theta0 = length_scale(FLUXONIUM, scale)
-    theta2, n2 = quadratic_operators(HoBasis(theta0, dim, 1001))
     m = np.arange(dim, dtype=np.longdouble)
     t2 = np.longdouble(theta0) ** 2
     s = np.sqrt((m[:-2] + 1) * (m[:-2] + 2)) / 2
-    for got, diag, off in ((theta2, t2 * (m + 0.5), t2 * s), (n2, (m + 0.5) / t2, -s / t2)):
-        want = np.diag(diag) + np.diag(off, 2) + np.diag(off, -2)
-        assert got.entries.dtype == np.float64
-        assert np.abs(got.entries - want).max() <= np.finfo(float).eps * np.abs(want).max()
+    closed_forms = ((t2 * (m + 0.5), t2 * s), ((m + 0.5) / t2, -s / t2))  # theta^2, N^2
+    for got, want in zip(quadratic_bands(HoBasis(theta0, dim, 1001)), closed_forms):
+        bound = np.finfo(float).eps * max(np.abs(w).max() for w in want)
+        for got_band, want_band in zip(got, want):
+            assert got_band.dtype == np.float64 and got_band.shape == want_band.shape
+            assert np.abs(got_band - want_band).max(initial=0.0) <= bound
 
 
 def test_cos_dim1_analytic_oracle():
@@ -178,9 +183,8 @@ def test_cos_truncation_insensitive():
 def test_fluxonium_quadratic_part_is_diagonal_ladder():
     # 4 E_C N^2 + (E_L/2) theta^2 at the LC length scale is omega_LC (m + 1/2).
     theta0 = length_scale(FLUXONIUM, LengthScale.LC)
-    basis = HoBasis(theta0, 30, 1001)
-    theta2, n2 = quadratic_operators(basis)
-    h = 4.0 * FLUXONIUM.E_C * n2.entries + 0.5 * FLUXONIUM.E_L * theta2.entries
+    theta2, n2 = _quadratic_matrices(HoBasis(theta0, 30, 1001))
+    h = 4.0 * FLUXONIUM.E_C * n2 + 0.5 * FLUXONIUM.E_L * theta2
     omega = math.sqrt(8.0 * FLUXONIUM.E_C * FLUXONIUM.E_L)
     expect = omega * (np.arange(30) + 0.5)
     assert np.abs(h - np.diag(expect)).max() < 1e-12 * omega * 30

@@ -55,7 +55,7 @@ from dvrcircuits.spectra import (
     reference_energy,
     splits_by_parity,
 )
-from oracles import dvr_hamiltonian_by_terms, eigenvalues_by_size_merging_blocks
+from oracles import dvr_hamiltonian_by_terms, eigenvalues_by_size_merging_blocks, ho_hamiltonian_dense
 
 LC = CircuitSpec.lc(1.0, 1.0)
 FLUXONIUM = CircuitSpec.fluxonium(2.5, 0.5, 10.0, 0.5)
@@ -340,9 +340,25 @@ def test_ho_parity_blocks_are_the_parity_slices_of_the_assembled_matrix(spec):
     for scale in LengthScale if spec is not LC else [LengthScale.LC]:
         rep = HoRep(scale, 121)
         for d in (1, 2, 21, 121):
-            h = assemble(spec, rep, d).entries
+            h = ho_hamiltonian_dense(spec, rep, d)
             even, odd = _parity_blocks(spec, rep, d)
             assert np.array_equal(even, h[0::2, 0::2]) and np.array_equal(odd, h[1::2, 1::2])
+
+
+def test_ho_assembly_equals_the_dense_sum_of_its_terms():
+    # assemble writes the parity blocks and, off half-integer flux, the
+    # cosine's entries between the parities; the oracle sums the dense
+    # pentadiagonal quadratic terms and the dense cosine
+    cases = [(LC, LengthScale.LC)] + [
+        (CircuitSpec.fluxonium(2.5, 0.5, 10.0, A), scale)
+        for A in (0.0, 0.5, 0.37, 1.25, -0.1)
+        for scale in LengthScale
+    ]
+    for spec, scale in cases:
+        for d in (1, 2, 3, 4, 51, 300, 301, 1001):
+            h = assemble(spec, HoRep(scale), d).entries
+            want = ho_hamiltonian_dense(spec, HoRep(scale), d)
+            assert h.dtype == want.dtype and np.array_equal(h, want), (spec.A, scale, d)
 
 
 def test_parity_blocks_have_the_half_sizes():
@@ -521,7 +537,7 @@ def test_fluxonium_reference_is_the_ho_representation_at_its_embedding():
     # growth of rounding errors accumulated over n-term sums (Higham, Accuracy
     # and Stability of Numerical Algorithms, 2nd ed., sec. 2.8), and
     # ||H||_2 = max |eigenvalue|.  The two routes differ by at most twice that.
-    h = assemble(FLUXONIUM, HoRep(LengthScale.LC), 1001).entries
+    h = ho_hamiltonian_dense(FLUXONIUM, HoRep(LengthScale.LC), 1001)
     want = scipy.linalg.eigvalsh(h)
     got = np.array([reference_energy(FLUXONIUM, n) for n in range(1001)])
     assert np.array_equal(h[0::2, 1::2], np.zeros((501, 500)))

@@ -5,10 +5,11 @@ from dvrcircuits.circuits import CircuitSpec
 from dvrcircuits.dvr import DvrBasis, DvrKind, Spacing
 from dvrcircuits.errors import ConfigError
 from dvrcircuits.ho import LengthScale
-from dvrcircuits.spectra import DvrRep, HoRep, assemble, eigensolve
+from dvrcircuits.spectra import DvrRep, FdRep, HoRep, assemble, eigensolve
 from dvrcircuits.states import (
     ShiftSpec,
     StateVector,
+    _grid_dot,
     apply_shift,
     decompose,
     expectation,
@@ -205,6 +206,12 @@ def test_flux_sweep_rejects_wrong_family():
         flux_sweep(CircuitSpec.lc(1.0, 1.0), PHASE_REP, 21, betas=(0,))
 
 
+@pytest.mark.parametrize("rep", [HoRep(LengthScale.LC), FdRep(0.1)], ids=lambda rep: rep.label)
+def test_flux_sweep_rejects_representations_without_a_phase_grid(rep):
+    with pytest.raises(ConfigError, match="sinc-DVR"):
+        flux_sweep(FLUXONIUM, rep, 21, betas=(0,))
+
+
 def test_flux_sweep_rediagonalize_follows_the_ground_state():
     a_values = np.array([0.3, 0.5])
     fixed = flux_sweep(FLUXONIUM, PHASE_REP, 41, betas=(0,), a_values=a_values)
@@ -233,15 +240,20 @@ SWEEP_A = np.linspace(0.0, 1.0, 21)
 
 
 @pytest.mark.parametrize("rep", SWEEP_REPS, ids=lambda rep: rep.label)
-@pytest.mark.parametrize("dim", [41, 301])
+@pytest.mark.parametrize(
+    "dim, rediagonalize", [(41, False), (301, False), (41, True)], ids=["41", "301", "41-rediagonalized"]
+)
 @pytest.mark.parametrize("direction", [+1, -1])
 @pytest.mark.parametrize("spec", SWEEP_CIRCUITS, ids=lambda spec: f"A={spec.A}")
-def test_held_flux_sweep_matches_reassembly(spec, rep, dim, direction):
-    # the held state's rows come from grid populations; the oracle rebuilds
-    # H(A) and sin(theta + 2*pi*A) as dense matrices at every A
+def test_held_flux_sweep_matches_reassembly(spec, rep, dim, rediagonalize, direction):
+    # every row comes from grid populations and H at the circuit's own A; the
+    # oracle rebuilds H(A) and sin(theta + 2*pi*A) as dense matrices at every
+    # A.  Both take their states from spectra.lowest_states.
     eps = np.finfo(float).eps
-    rows = flux_sweep(spec, rep, dim, SWEEP_BETAS, direction, a_values=SWEEP_A)
-    expected = flux_sweep_by_reassembly(spec, rep, dim, SWEEP_BETAS, direction, a_values=SWEEP_A)
+    rows = flux_sweep(spec, rep, dim, SWEEP_BETAS, direction, a_values=SWEEP_A, rediagonalize=rediagonalize)
+    expected = flux_sweep_by_reassembly(
+        spec, rep, dim, SWEEP_BETAS, direction, a_values=SWEEP_A, rediagonalize=rediagonalize
+    )
     assert len(rows) == len(expected) == SWEEP_A.size * len(SWEEP_BETAS)
     for row, ref in zip(rows, expected):
         assert row[:2] == ref[:2]
@@ -249,6 +261,16 @@ def test_held_flux_sweep_matches_reassembly(spec, rep, dim, direction):
         h_max = np.abs(assemble(spec_a, rep, dim).entries).max()
         assert abs(row[2] - ref[2]) <= 4 * eps * h_max
         assert abs(row[3] - ref[3]) <= 4 * eps
+
+
+@pytest.mark.parametrize("states", [1, 5], ids=["held", "rediagonalized"])
+def test_grid_dot_sums_as_one_vector_dot_per_row(states):
+    # flux_sweep's rows: populations of `states` prepared states x 3 betas
+    # against cos or sin on the grid at 5 flux values
+    rng = np.random.default_rng(17)
+    p, f = rng.random((states, 3, 301)), rng.standard_normal((5, 1, 301))
+    want = [[p[a % states, b] @ f[a, 0] for b in range(3)] for a in range(5)]
+    assert np.array_equal(_grid_dot(p, f), want)
 
 
 def test_held_flux_sweep_covers_a_state_pushed_off_the_grid():
@@ -259,13 +281,3 @@ def test_held_flux_sweep_covers_a_state_pushed_off_the_grid():
     _, state = _ground(rep, dim)
     _, norm = apply_shift(state, _basis(rep, dim), ShiftSpec(13))
     assert norm < 0.99
-
-
-@pytest.mark.parametrize("rep", [SWEEP_REPS[1], SWEEP_REPS[4]], ids=lambda rep: rep.label)
-@pytest.mark.parametrize("direction", [+1, -1])
-@pytest.mark.parametrize("spec", SWEEP_CIRCUITS, ids=lambda spec: f"A={spec.A}")
-def test_rediagonalized_flux_sweep_equals_reassembly(spec, rep, direction):
-    a_values = np.linspace(0.0, 1.0, 11)
-    rows = flux_sweep(spec, rep, 41, SWEEP_BETAS, direction, a_values=a_values, rediagonalize=True)
-    expected = flux_sweep_by_reassembly(spec, rep, 41, SWEEP_BETAS, direction, a_values=a_values, rediagonalize=True)
-    assert rows == expected
