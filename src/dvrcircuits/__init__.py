@@ -23,13 +23,11 @@ from .dvr import (
     conj_moment_truncated,
     cosine_in_charge,
     diag_of_discretized,
-    dvr_selfcheck,
     grid_points,
-    sine_in_phase,
 )
 from .errors import ConfigError, IncompatibleRepresentationError, NumericalError
 from .fdm import Boundary, FdGrid, fd_coefficients, fd_hamiltonian
-from .ho import HoBasis, LengthScale, cos_in_ho, ho_operators, length_scale
+from .ho import HoBasis, LengthScale, cos_in_ho, length_scale
 from .spectra import (
     DvrRep,
     FdRep,

@@ -16,7 +16,7 @@ import numbers
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ConfigError
+from .errors import ConfigError, reject_unknown
 
 
 class Family(str, Enum):
@@ -37,14 +37,13 @@ class HamiltonianTerm:
     """One additive Hamiltonian contribution, coefficient in GHz.
 
     ``offset`` carries N_g for N_SHIFTED_SQUARED; ``flux`` carries the flux
-    ratio A and ``sign`` the sign of the 2*pi*A shift for COS_THETA.
+    ratio A of cos(theta + 2*pi*A) for COS_THETA.
     """
 
     coefficient: float
     kind: OperatorKind
     offset: float = 0.0
     flux: float = 0.0
-    sign: int = +1
 
 
 @dataclass(frozen=True)
@@ -102,10 +101,7 @@ class CircuitSpec:
             family = Family(data.pop("family"))
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"bad circuit family: {exc}") from exc
-        known = {"E_C", "E_L", "E_J", "A", "N_g"}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown circuit fields: {sorted(unknown)}")
+        reject_unknown(data, ("E_C", "E_L", "E_J", "A", "N_g"), "circuit")
         if "E_C" not in data:
             raise ConfigError("circuit requires E_C")
         return cls(family, **data)
@@ -122,11 +118,11 @@ def terms(spec: CircuitSpec) -> list[HamiltonianTerm]:
         return [
             HamiltonianTerm(4.0 * spec.E_C, OperatorKind.N_SQUARED),
             HamiltonianTerm(0.5 * spec.E_L, OperatorKind.THETA_SQUARED),
-            HamiltonianTerm(-spec.E_J, OperatorKind.COS_THETA, flux=spec.A, sign=+1),
+            HamiltonianTerm(-spec.E_J, OperatorKind.COS_THETA, flux=spec.A),
         ]
     if spec.family is Family.TRANSMON:
         return [
             HamiltonianTerm(4.0 * spec.E_C, OperatorKind.N_SHIFTED_SQUARED, offset=spec.N_g),
-            HamiltonianTerm(-spec.E_J, OperatorKind.COS_THETA, flux=0.0, sign=+1),
+            HamiltonianTerm(-spec.E_J, OperatorKind.COS_THETA, flux=0.0),
         ]
     raise ConfigError(f"unknown family {spec.family!r}")

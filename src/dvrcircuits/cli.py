@@ -35,7 +35,7 @@ from .convergence import (
     sweep_levels,
 )
 from .dvr import DvrKind, Spacing
-from .errors import ConfigError, NumericalError, json_int, json_number
+from .errors import ConfigError, NumericalError, json_int, json_number, reject_unknown
 from .fdm import Boundary
 from .ho import LengthScale
 from .presets import (
@@ -78,10 +78,22 @@ def rep_to_dict(rep: Representation) -> dict:
     raise ConfigError(f"unknown representation {rep!r}")
 
 
+# the fields of each representation type; a field left out takes the
+# representation's default (a spacing, None)
+_REP_FIELDS = {
+    "dvr": ("type", "kind", "spacing"),
+    "ho": ("type", "scale", "embed_dim"),
+    "fd": ("type", "spacing", "order_M", "boundary"),
+}
+
+
 def rep_from_dict(data: dict) -> Representation:
     if not isinstance(data, dict) or "type" not in data:
         raise ConfigError(f"representation descriptor needs a 'type' field: {data!r}")
     kind = data["type"]
+    if not isinstance(kind, str) or kind not in _REP_FIELDS:
+        raise ConfigError(f"unknown representation type {kind!r}")
+    reject_unknown(data, _REP_FIELDS[kind], f"{kind} representation")
     try:
         if kind == "dvr":
             spacing = data.get("spacing")
@@ -90,23 +102,30 @@ def rep_from_dict(data: dict) -> Representation:
                 None if spacing is None else Spacing.from_dict(spacing),
             )
         if kind == "ho":
-            return HoRep(LengthScale(data["scale"]), json_int(data.get("embed_dim", 1001), "embed_dim"))
-        if kind == "fd":
-            spacing = data.get("spacing")
-            if isinstance(spacing, dict):
-                spacing = Spacing.from_dict(spacing).value
-            elif spacing is not None:
-                spacing = json_number(spacing, "fd spacing")
-                if not spacing > 0.0:
-                    raise ConfigError(f"fd spacing must be finite and positive, got {spacing!r}")
-            return FdRep(
-                spacing,
-                json_int(data.get("order_M", 1), "order_M"),
-                Boundary(data.get("boundary", "bounded")),
-            )
+            embed_dim = json_int(data.get("embed_dim", HoRep.embed_dim), "embed_dim")
+            return HoRep(LengthScale(data["scale"]), embed_dim)
+        spacing = data.get("spacing")
+        if isinstance(spacing, dict):
+            spacing = Spacing.from_dict(spacing).value
+        elif spacing is not None:
+            spacing = json_number(spacing, "fd spacing")
+            if not spacing > 0.0:
+                raise ConfigError(f"fd spacing must be finite and positive, got {spacing!r}")
+        return FdRep(
+            spacing,
+            json_int(data.get("order_M", FdRep.order_M), "order_M"),
+            Boundary(data.get("boundary", FdRep.boundary)),
+        )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad representation descriptor {data!r}: {exc}") from exc
-    raise ConfigError(f"unknown representation type {kind!r}")
+
+
+def _slug(rep: Representation) -> str:
+    """The part of a representation's output file names that names it."""
+    return (
+        rep.label.replace("[", "_").replace("]", "").replace("/", "-")
+        .replace(",", "_").replace("=", "").replace("*", "").replace(".", "p")
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +158,17 @@ class RunConfig:
             raise ConfigError(f"threshold must be finite and positive, got {self.threshold_GHz}")
         if not 0.0 <= self.decompose_floor < math.inf:
             raise ConfigError(f"decompose floor must be finite and non-negative, got {self.decompose_floor}")
+        # a representation's output files are named by its _slug
+        named: dict[str, Representation] = {}
         for rep in self.representations:
             check_compatible(self.circuit, rep)
+            slug = _slug(rep)
+            if slug in named:
+                raise ConfigError(
+                    f"representations {rep_to_dict(named[slug])} and {rep_to_dict(rep)} "
+                    f"would write the same output files ({slug!r})"
+                )
+            named[slug] = rep
         # every command rejects a shift the shift command could not apply
         for beta in (0, *self.shift_betas):
             ShiftSpec(beta, self.shift_direction)
@@ -162,6 +190,7 @@ class RunConfig:
 
 def _parse_sizes(raw) -> tuple[int, ...]:
     if isinstance(raw, dict):
+        reject_unknown(raw, ("largest", "stride"), "size range")
         stride = json_int(raw.get("stride", 1), "size stride")
         if stride < 1:
             raise ConfigError(f"size stride must be >= 1, got {stride}")
@@ -188,9 +217,7 @@ _FIELD_PARSERS = {
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    unknown = set(data) - set(_FIELD_PARSERS)
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    reject_unknown(data, _FIELD_PARSERS, "config")
     for field in fields(RunConfig):
         if field.default is MISSING and field.name not in data:
             raise ConfigError(f"config requires a '{field.name}' field")
@@ -270,13 +297,6 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
     columns = [_format_column(column) for column in zip(*rows)]
     lines = [",".join(header), *map(",".join, zip(*columns))]
     path.write_text("\n".join(lines) + "\n")
-
-
-def _slug(rep: Representation) -> str:
-    return (
-        rep.label.replace("[", "_").replace("]", "").replace("/", "-")
-        .replace(",", "_").replace("=", "").replace("*", "").replace(".", "p")
-    )
 
 
 def _rep_columns(rep: Representation) -> tuple[str, object, object, object]:

@@ -86,6 +86,8 @@ def _checked(
         raise ConfigError("empty size or level list")
     if any(s < 3 or s % 2 == 0 for s in sizes):
         raise ConfigError("sizes must be odd and >= 3")
+    if any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise ConfigError("sizes must be strictly ascending")
     top = max(levels)
     if top >= max(sizes):
         raise ConfigError(f"level {top} not contained in the largest size {max(sizes)}")
@@ -284,7 +286,7 @@ def level_metrics(
     field, solving as few sizes as a nested representation allows.
 
     For a nested representation (:func:`spectra.size_solver` returns an
-    error bound eta) with ascending sizes, each level is tried with
+    error bound eta), each level is tried with
     :func:`bisect_metrics` first; every size is solved at most once, for
     max(levels) + 1 values shared by all levels.  H(d) is a principal block
     of H(d_max), and so are its parity blocks, so by Cauchy interlacing each
@@ -307,12 +309,11 @@ def level_metrics(
             solved[i] = solve(sizes[i])
         return solved[i]
 
-    bisects = eta is not None and all(a < b for a, b in zip(sizes, sizes[1:]))
     out = []
     for n, ref in zip(levels, refs):
         kept = [i for i, d in enumerate(sizes) if d > n]
         record = None
-        if bisects and len(kept) >= 5:
+        if eta is not None and len(kept) >= 5:
             read = set()
 
             def delta(j: int) -> float:

@@ -11,8 +11,8 @@ Operators that are functions of the discretized variable are diagonal
 closed-form infinite-grid elements for the traditional kinds and the
 closed-form periodic-grid sums of the centered discrete Fourier transform for
 the truncated kinds; any other function of the conjugate variable goes
-through one FFT.  Every operator that is real in exact arithmetic is built
-with a real dtype.
+through one FFT (:func:`conj_function_truncated`, which no assembly uses).
+Every operator that is real in exact arithmetic is built with a real dtype.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigError, json_int
+from .errors import ConfigError, json_int, reject_unknown
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,9 @@ class Spacing:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Spacing":
+        if not isinstance(data, dict):
+            raise ConfigError(f"bad spacing descriptor {data!r}")
+        reject_unknown(data, ("num", "den", "pi"), "spacing")
         try:
             num, den, pi = json_int(data["num"], "num"), json_int(data["den"], "den"), data.get("pi", False)
         except (KeyError, TypeError) as exc:
@@ -333,74 +336,3 @@ def cosine_in_charge(basis: DvrBasis, A: float, sign: int = +1) -> OperatorMatri
     entries[rows, rows + k] = upper
     entries[rows + k, rows] = np.conj(upper)
     return OperatorMatrix(entries)
-
-
-def sine_in_phase(basis: DvrBasis, A: float) -> OperatorMatrix:
-    """sin(theta + 2*pi*A) in a phase DVR (diagonal approximation)."""
-    if not basis.kind.is_phase:
-        raise ConfigError("sine_in_phase requires a phase kind")
-    return diag_of_discretized(basis, lambda th: np.sin(th + 2.0 * np.pi * A))
-
-
-def basis_function_values(basis: DvrBasis, alpha: int, x: np.ndarray) -> np.ndarray:
-    """Closed-form DVR basis function psi_alpha evaluated at points x.
-
-    Sinc for the traditional kinds; Dirichlet kernel (periodic on
-    [-bound, bound] with period dim * spacing) for the truncated kinds.
-    """
-    s = basis.spacing_value
-    u = np.asarray(x, dtype=float) - alpha * s
-    if not basis.kind.is_truncated:
-        return np.sqrt(1.0 / s) * np.sinc(u / s)
-    d = basis.dim
-    z = u / s
-    denom = np.sin(np.pi * z / d)
-    at_node = np.abs(denom) < 1e-12
-    safe = np.where(at_node, 1.0, denom)
-    # Removable singularity: the kernel equals 1/sqrt(s) whenever z = m*d.
-    return np.where(at_node, 1.0 / np.sqrt(s), np.sin(np.pi * z) / (d * safe) / np.sqrt(s))
-
-
-@dataclass(frozen=True)
-class SelfCheckReport:
-    interpolation_defect: float
-    overlap_defect: float
-
-
-def dvr_selfcheck(basis: DvrBasis, fine_factor: int) -> SelfCheckReport:
-    """Verify the defining DVR conditions on a refined grid.
-
-    Checks that each basis function vanishes at every other grid point (and
-    takes the value sqrt(c_alpha) at its own), and that numerically
-    integrated pairwise overlaps reproduce the identity.  Truncated kinds are
-    integrated over one period; traditional kinds over a padded window, with
-    slow sinc tails limiting the achievable overlap accuracy.
-    """
-    if fine_factor < 4:
-        raise ConfigError(f"fine_factor must be >= 4, got {fine_factor}")
-    s = basis.spacing_value
-    M, d = basis.M, basis.dim
-    pts = grid_points(basis)
-    alphas = np.arange(-M, M + 1)
-    psi_at_nodes = np.stack([basis_function_values(basis, a, pts) for a in alphas])
-    target = np.sqrt(basis.weight) * np.eye(d)
-    interpolation_defect = float(np.abs(psi_at_nodes - target).max())
-
-    if basis.kind.is_truncated:
-        # One full period, trapezoid on an even refinement (endpoints identified).
-        npts = d * fine_factor
-        xs = (np.arange(npts) - npts // 2) * (d * s / npts)
-        w = d * s / npts
-        values = np.stack([basis_function_values(basis, a, xs) for a in alphas])
-        overlaps = values @ values.T * w
-    else:
-        pad = 60
-        half = (M + pad) * fine_factor
-        xs = np.arange(-half, half + 1) * (s / fine_factor)
-        values = np.stack([basis_function_values(basis, a, xs) for a in alphas])
-        wts = np.full(xs.size, s / fine_factor)
-        wts[0] *= 0.5
-        wts[-1] *= 0.5
-        overlaps = (values * wts) @ values.T
-    overlap_defect = float(np.abs(overlaps - np.eye(d)).max())
-    return SelfCheckReport(interpolation_defect=interpolation_defect, overlap_defect=overlap_defect)

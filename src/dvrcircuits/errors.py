@@ -1,6 +1,7 @@
-"""Shared exception types and the checks of integer and float config values."""
+"""Shared exception types and the checks of config values and field names."""
 
 import math
+from collections.abc import Iterable
 
 
 class ConfigError(ValueError):
@@ -34,3 +35,10 @@ def json_number(value, name: str) -> float:
     if not math.isfinite(number):
         raise ConfigError(f"{name} must be finite, got {value!r}")
     return number
+
+
+def reject_unknown(data: dict, known: Iterable[str], what: str) -> None:
+    """ConfigError naming every key of data that is not in known."""
+    unknown = set(data) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {what} fields: {sorted(unknown)}")

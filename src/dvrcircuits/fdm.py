@@ -103,7 +103,7 @@ def _potential_term(term: HamiltonianTerm, theta: np.ndarray) -> np.ndarray:
     if term.kind is OperatorKind.THETA_SQUARED:
         return term.coefficient * theta ** 2
     if term.kind is OperatorKind.COS_THETA:
-        return term.coefficient * np.cos(theta + term.sign * 2.0 * np.pi * term.flux)
+        return term.coefficient * np.cos(theta + 2.0 * np.pi * term.flux)
     if term.kind is OperatorKind.N_SQUARED:
         return np.zeros_like(theta)  # kinetic part, handled by the stencil
     if term.kind is OperatorKind.N_SHIFTED_SQUARED:

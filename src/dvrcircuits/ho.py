@@ -71,16 +71,6 @@ def _ladder_offdiag(dim: int) -> np.ndarray:
     return np.sqrt(np.arange(1, dim) / 2.0)
 
 
-def ho_operators(basis: HoBasis) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """(theta, N) as dim x dim tridiagonal matrices, normalized so [theta, N] = i."""
-    if basis.dim < 2:
-        raise ConfigError("ho_operators needs dim >= 2")
-    off = _ladder_offdiag(basis.dim)
-    theta = np.diag(basis.theta0 * off, 1) + np.diag(basis.theta0 * off, -1)
-    n = np.diag(-1j * off / basis.theta0, 1) + np.diag(1j * off / basis.theta0, -1)
-    return OperatorMatrix(theta), OperatorMatrix(n)
-
-
 def quadratic_bands(basis: HoBasis) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """((diagonal, +-2 band) of theta^2, (diagonal, +-2 band) of N^2) at dim,
     the only nonzero bands of either.

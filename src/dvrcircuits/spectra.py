@@ -10,7 +10,8 @@ and the parity blocks are built from that one list.
 :func:`size_solver` serves a sweep over matrix sizes: where every size
 is a block of the largest (:func:`nested_start`) it assembles once and slices,
 a narrow-banded matrix is solved on its bands, and a dense block with one
-direct LAPACK call (:func:`_lowest_values`).  A dense Hamiltonian that
+direct LAPACK call (:func:`_lowest_values`), the call :func:`eigensolve`
+makes for eigenvectors too.  A dense Hamiltonian that
 commutes with the parity theta -> -theta (:func:`splits_by_parity`, decided
 from the circuit) is solved as an even and an odd block of half the size; a
 DVR builds them on the half grid as Toeplitz +- Hankel, strided views of the
@@ -205,11 +206,11 @@ def _dvr_terms(
     for term in spec_terms:
         on_grid = basis.kind.is_phase == (term.kind in (OperatorKind.THETA_SQUARED, OperatorKind.COS_THETA))
         if on_grid and term.kind is OperatorKind.COS_THETA:
-            values = np.cos(grid + term.sign * 2.0 * np.pi * term.flux)
+            values = np.cos(grid + 2.0 * np.pi * term.flux)
         elif on_grid:
             values = np.square(grid - term.offset)
         elif term.kind is OperatorKind.COS_THETA:
-            k, upper = cosine_band(basis, term.flux, term.sign)
+            k, upper = cosine_band(basis, term.flux)
             values = np.where(n == k, np.conj(upper), 0.0)
         elif basis.kind.is_truncated:
             values = truncated_moment_column(basis, 2, term.offset)
@@ -310,11 +311,13 @@ def _solver_matrix(h: np.ndarray) -> np.ndarray:
 
 
 def eigensolve(h: OperatorMatrix, k: int) -> Spectrum:
-    """Lowest k eigenpairs of a Hermitian matrix, ascending and unit-norm."""
+    """Lowest k eigenpairs of a Hermitian matrix, ascending and unit-norm, from
+    the one LAPACK call of :func:`_lowest_values`."""
     dim = h.dim
     if not 1 <= k <= dim:
         raise ConfigError(f"k must be in [1, {dim}], got {k}")
-    energies, vectors = scipy.linalg.eigh(_solver_matrix(h.entries), subset_by_index=(0, k - 1))
+    a = _solver_matrix(h.entries)
+    energies, vectors = _lowest_values(a)(a, k - 1, vectors=True)
     return Spectrum(energies, vectors, dim)
 
 
@@ -369,11 +372,12 @@ def _evr(dtype: np.dtype) -> tuple[str, Callable, Callable]:
     return (routine, *scipy.linalg.get_lapack_funcs((routine, routine + "_lwork"), dtype=dtype))
 
 
-def _lowest_values(h: np.ndarray) -> Callable[[np.ndarray, int], np.ndarray]:
-    """lowest(a, upto): the lowest upto+1 eigenvalues of the lower triangle of
-    a square block a of h's dtype, from one LAPACK ?syevr or ?heevr call:
-    scipy.linalg.eigvalsh(a, subset_by_index=(0, upto)), bit for bit, without
-    its checks and copies.
+def _lowest_values(h: np.ndarray) -> Callable[..., np.ndarray | tuple[np.ndarray, np.ndarray]]:
+    """lowest(a, upto, vectors=False): the lowest upto+1 eigenvalues of the
+    lower triangle of a square block a of h's dtype, from one LAPACK ?syevr or
+    ?heevr call: scipy.linalg.eigvalsh(a, subset_by_index=(0, upto)), bit for
+    bit, without its checks and copies.  With ``vectors`` it returns
+    (values, vectors), those of scipy.linalg.eigh with the same subset.
 
     The workspace is the optimal one at a's own size, as eigvalsh queries it
     (about 1 us).  A minimal workspace makes ?sytrd run unblocked, and the
@@ -385,14 +389,16 @@ def _lowest_values(h: np.ndarray) -> Callable[[np.ndarray, int], np.ndarray]:
     routine, evr, query = _evr(h.dtype)
     names = ("lwork", "lrwork", "liwork") if routine == "heevr" else ("lwork", "liwork")
 
-    def lowest(a: np.ndarray, upto: int) -> np.ndarray:
+    def lowest(a: np.ndarray, upto: int, vectors: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
         *sizes, info = query(a.shape[0], lower=1)
         if not info:
             workspace = {name: int(size.real) for name, size in zip(names, sizes)}
-            w, _, m, _, info = evr(a, compute_v=0, range="I", lower=1, il=1, iu=upto + 1, **workspace)
+            w, v, m, _, info = evr(
+                a, compute_v=int(vectors), range="I", lower=1, il=1, iu=upto + 1, **workspace
+            )
         if info:
             raise NumericalError(f"LAPACK ?{routine} failed (info {info})")
-        return w[:m]
+        return (w[:m], v[:, :m]) if vectors else w[:m]
 
     return lowest
 

@@ -24,10 +24,14 @@ full matrices, apart from the parity blocks ``spectra.assemble`` builds it
 from.  The full-embedding HO cosine diagonalizes
 theta in all embed_dim states and
 evaluates cos(w + 2*pi*A) on its eigenvalues, apart from the half-size
-parity blocks of ``ho``.
+parity blocks of ``ho``.  The DVR self-check evaluates the closed-form
+basis functions on a refined grid; the HO ladder matrices theta and N are
+the truncated tridiagonal ladders, whose products the closed-form quadratic
+bands must match away from the edge.
 """
 
 import math
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -42,7 +46,7 @@ from dvrcircuits.dvr import (
     conj_moment_truncated,
     cosine_in_charge,
     diag_of_discretized,
-    sine_in_phase,
+    grid_points,
     truncated_moment_column,
 )
 from dvrcircuits.errors import ConfigError
@@ -98,7 +102,7 @@ def _dvr_term_operator(basis: DvrBasis, term: HamiltonianTerm) -> OperatorMatrix
         if kind is OperatorKind.THETA_SQUARED:
             return diag_of_discretized(basis, np.square)
         if kind is OperatorKind.COS_THETA:
-            shift = term.sign * 2.0 * np.pi * term.flux
+            shift = 2.0 * np.pi * term.flux
             return diag_of_discretized(basis, lambda th: np.cos(th + shift))
         if kind is OperatorKind.N_SQUARED:
             if basis.kind.is_truncated:
@@ -116,7 +120,7 @@ def _dvr_term_operator(basis: DvrBasis, term: HamiltonianTerm) -> OperatorMatrix
                 return conj_moment_truncated(basis, 2)
             return conj_moment_traditional(basis, 2)
         if kind is OperatorKind.COS_THETA:
-            return cosine_in_charge(basis, term.flux, term.sign)
+            return cosine_in_charge(basis, term.flux)
     raise ConfigError(f"term {kind!r} not supported in {basis.kind.value}")
 
 
@@ -169,7 +173,7 @@ def flux_sweep_by_reassembly(
     for a in a_values:
         spec_a = CircuitSpec.fluxonium(spec.E_C, spec.E_L, spec.E_J, float(a))
         h_a = assemble(spec_a, rep, dim)
-        current_a = sine_in_phase(basis, float(a))
+        current_a = diag_of_discretized(basis, lambda th: np.sin(th + 2.0 * np.pi * float(a)))
         if rediagonalize:
             base = StateVector.from_eigenvector(lowest_states(spec_a, rep, dim, 1), 0)
         for beta in betas:
@@ -286,3 +290,77 @@ def ho_hamiltonian_dense(spec: CircuitSpec, rep: HoRep, dim: int) -> np.ndarray:
     if spec.family is Family.FLUXONIUM:
         h = h - spec.E_J * cos_in_ho(basis, spec.A).entries
     return h
+
+
+def ho_operators(basis: HoBasis) -> tuple[OperatorMatrix, OperatorMatrix]:
+    """(theta, N) as dim x dim tridiagonal matrices, normalized so [theta, N] = i."""
+    if basis.dim < 2:
+        raise ConfigError("ho_operators needs dim >= 2")
+    off = np.sqrt(np.arange(1, basis.dim) / 2.0)
+    theta = np.diag(basis.theta0 * off, 1) + np.diag(basis.theta0 * off, -1)
+    n = np.diag(-1j * off / basis.theta0, 1) + np.diag(1j * off / basis.theta0, -1)
+    return OperatorMatrix(theta), OperatorMatrix(n)
+
+
+def basis_function_values(basis: DvrBasis, alpha: int, x: np.ndarray) -> np.ndarray:
+    """Closed-form DVR basis function psi_alpha evaluated at points x.
+
+    Sinc for the traditional kinds; Dirichlet kernel (periodic on
+    [-bound, bound] with period dim * spacing) for the truncated kinds.
+    """
+    s = basis.spacing_value
+    u = np.asarray(x, dtype=float) - alpha * s
+    if not basis.kind.is_truncated:
+        return np.sqrt(1.0 / s) * np.sinc(u / s)
+    d = basis.dim
+    z = u / s
+    denom = np.sin(np.pi * z / d)
+    at_node = np.abs(denom) < 1e-12
+    safe = np.where(at_node, 1.0, denom)
+    # Removable singularity: the kernel equals 1/sqrt(s) whenever z = m*d.
+    return np.where(at_node, 1.0 / np.sqrt(s), np.sin(np.pi * z) / (d * safe) / np.sqrt(s))
+
+
+@dataclass(frozen=True)
+class SelfCheckReport:
+    interpolation_defect: float
+    overlap_defect: float
+
+
+def dvr_selfcheck(basis: DvrBasis, fine_factor: int) -> SelfCheckReport:
+    """Verify the defining DVR conditions on a refined grid.
+
+    Checks that each basis function vanishes at every other grid point (and
+    takes the value sqrt(c_alpha) at its own), and that numerically
+    integrated pairwise overlaps reproduce the identity.  Truncated kinds are
+    integrated over one period; traditional kinds over a padded window, with
+    slow sinc tails limiting the achievable overlap accuracy.
+    """
+    if fine_factor < 4:
+        raise ConfigError(f"fine_factor must be >= 4, got {fine_factor}")
+    s = basis.spacing_value
+    M, d = basis.M, basis.dim
+    pts = grid_points(basis)
+    alphas = np.arange(-M, M + 1)
+    psi_at_nodes = np.stack([basis_function_values(basis, a, pts) for a in alphas])
+    target = np.sqrt(basis.weight) * np.eye(d)
+    interpolation_defect = float(np.abs(psi_at_nodes - target).max())
+
+    if basis.kind.is_truncated:
+        # One full period, trapezoid on an even refinement (endpoints identified).
+        npts = d * fine_factor
+        xs = (np.arange(npts) - npts // 2) * (d * s / npts)
+        w = d * s / npts
+        values = np.stack([basis_function_values(basis, a, xs) for a in alphas])
+        overlaps = values @ values.T * w
+    else:
+        pad = 60
+        half = (M + pad) * fine_factor
+        xs = np.arange(-half, half + 1) * (s / fine_factor)
+        values = np.stack([basis_function_values(basis, a, xs) for a in alphas])
+        wts = np.full(xs.size, s / fine_factor)
+        wts[0] *= 0.5
+        wts[-1] *= 0.5
+        overlaps = (values * wts) @ values.T
+    overlap_defect = float(np.abs(overlaps - np.eye(d)).max())
+    return SelfCheckReport(interpolation_defect=interpolation_defect, overlap_defect=overlap_defect)

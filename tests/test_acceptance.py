@@ -60,7 +60,7 @@ from dvrcircuits.spectra import DvrRep, HoRep, assemble, eigensolve, nested_star
 from dvrcircuits.ho import HoBasis, LengthScale, cos_in_ho
 from dvrcircuits.states import ShiftSpec, StateVector, apply_shift, decompose, shift_operator
 from dvrcircuits.fdm import fd_coefficients
-from oracles import conj_moment_truncated_direct
+from oracles import conj_moment_truncated_direct, dvr_selfcheck
 
 LC_THRESHOLD = 1e-6 / energy_scale(LC_CIRCUIT)
 
@@ -256,8 +256,6 @@ def test_criterion_6_transmon_R():
 
 
 def test_criterion_7_property_suite():
-    from dvrcircuits.dvr import dvr_selfcheck
-
     checks = {}
     # DVR self-checks
     b = DvrBasis(DvrKind.TRUNCATED_PHASE, Spacing(2, 23, pi=True), 11)

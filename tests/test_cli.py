@@ -12,6 +12,7 @@ from dvrcircuits.cli import (
     PRESETS,
     RunConfig,
     _rep_columns,
+    _slug,
     _write_csv,
     config_from_dict,
     load_config,
@@ -82,6 +83,48 @@ def test_config_rejects_unknown_fields():
         config_from_dict(dict(LC_CONFIG, color="red"))
 
 
+_DVR = {"type": "dvr", "kind": "truncated_phase", "spacing": {"num": 7, "den": 32, "pi": True}}
+
+
+@pytest.mark.parametrize(
+    "parse, data",
+    [
+        (rep_from_dict, dict(_DVR, Kind="traditional_phase")),
+        (rep_from_dict, {"type": "ho", "scale": "lc", "embed": 501}),
+        (rep_from_dict, {"type": "fd", "spacing": 0.1, "order": 2}),
+        (Spacing.from_dict, {"num": 7, "den": 32, "Pi": True}),
+        (lambda raw: config_from_dict(dict(LC_CONFIG, sizes=raw)), {"largest": 101, "strid": 2}),
+    ],
+    ids=["dvr", "ho", "fd", "spacing", "sizes"],
+)
+def test_descriptors_reject_unknown_fields(parse, data):
+    with pytest.raises(ConfigError, match="unknown"):
+        parse(data)
+
+
+def test_rep_defaults_are_those_of_the_representations():
+    assert rep_from_dict({"type": "ho", "scale": "lc"}) == HoRep(LengthScale.LC)
+    assert rep_from_dict({"type": "fd", "spacing": 0.1}) == FdRep(0.1)
+    assert rep_from_dict({"type": "dvr", "kind": "truncated_phase"}) == DvrRep(DvrKind.TRUNCATED_PHASE, None)
+
+
+def test_a_misspelt_spacing_field_exits_2(tmp_path):
+    # {"Pi": true} once ran at 7/32 instead of 7 pi / 32
+    reps = [{"type": "dvr", "kind": "truncated_phase", "spacing": {"num": 7, "den": 32, "Pi": True}}]
+    cfg = _write_config(tmp_path, dict(LC_CONFIG, representations=reps))
+    assert main(["metrics", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert not (tmp_path / "x").exists()
+
+
+def test_config_rejects_representations_that_share_a_file_name():
+    # both spacings are labelled 0.0245437, so both would write one curve file
+    reps = [{"type": "fd", "spacing": 0.02454369}, {"type": "fd", "spacing": 0.02454371}]
+    with pytest.raises(ConfigError, match="0.02454369.*0.02454371"):
+        config_from_dict(dict(LC_CONFIG, representations=reps))
+    with pytest.raises(ConfigError, match="same output files"):
+        config_from_dict(dict(LC_CONFIG, representations=[_DVR, _DVR]))
+
+
 def test_config_validates_compatibility():
     doc = {
         "circuit": {"family": "transmon", "E_C": 0.2, "E_J": 10.0, "N_g": 0.5},
@@ -111,8 +154,14 @@ _periodic_reps = st.one_of(
     st.builds(FdRep, st.none(), st.integers(1, 3), st.just(Boundary.PERIODIC)),
 )
 _random_configs = st.one_of(
-    st.tuples(st.sampled_from([LC_CIRCUIT, FLUXONIUM_CIRCUIT]), st.lists(_bounded_reps, min_size=1, max_size=4)),
-    st.tuples(st.sampled_from([TRANSMON_LIMIT, CHARGE_LIMIT]), st.lists(_periodic_reps, min_size=1, max_size=3)),
+    st.tuples(
+        st.sampled_from([LC_CIRCUIT, FLUXONIUM_CIRCUIT]),
+        st.lists(_bounded_reps, min_size=1, max_size=4, unique_by=_slug),
+    ),
+    st.tuples(
+        st.sampled_from([TRANSMON_LIMIT, CHARGE_LIMIT]),
+        st.lists(_periodic_reps, min_size=1, max_size=3, unique_by=_slug),
+    ),
 ).flatmap(
     lambda pair: st.builds(
         RunConfig,

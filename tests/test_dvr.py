@@ -10,19 +10,16 @@ from dvrcircuits.dvr import (
     DvrBasis,
     DvrKind,
     Spacing,
-    basis_function_values,
     conj_function_truncated,
     conj_moment_traditional,
     conj_moment_truncated,
     cosine_in_charge,
     diag_of_discretized,
-    dvr_selfcheck,
     grid_points,
-    sine_in_phase,
     truncated_moment_column,
 )
 from dvrcircuits.errors import ConfigError
-from oracles import conj_moment_truncated_direct
+from oracles import basis_function_values, conj_moment_truncated_direct, dvr_selfcheck
 
 ALL_KINDS = list(DvrKind)
 TRUNCATED = [DvrKind.TRUNCATED_PHASE, DvrKind.TRUNCATED_CHARGE]
@@ -403,19 +400,6 @@ def test_cosine_spectral_radius_bounded():
         b = DvrBasis(DvrKind.TRUNCATED_CHARGE, Spacing(1, k), M)
         w = np.linalg.eigvalsh(cosine_in_charge(b, 0.37).entries)
         assert np.abs(w).max() <= 1.0 + 1e-12
-
-
-# ---------------------------------------------------------------------------
-# sine in phase DVRs
-
-
-def test_sine_values():
-    b = DvrBasis(DvrKind.TRADITIONAL_PHASE, Spacing(1, 8, pi=True), 4)
-    assert np.isclose(sine_in_phase(b, 0.0).entries[4, 4], 0.0)
-    assert np.isclose(sine_in_phase(b, 0.25).entries[4, 4], 1.0)
-    assert np.isclose(
-        sine_in_phase(b, 0.5).entries[5, 5], math.sin(math.pi / 8 + math.pi)
-    )
 
 
 # ---------------------------------------------------------------------------

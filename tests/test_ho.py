@@ -10,11 +10,10 @@ from dvrcircuits.ho import (
     HoBasis,
     LengthScale,
     cos_in_ho,
-    ho_operators,
     length_scale,
     quadratic_bands,
 )
-from oracles import cos_in_ho_by_full_embedding, ho_cos_element, pentadiagonal
+from oracles import cos_in_ho_by_full_embedding, ho_cos_element, ho_operators, pentadiagonal
 
 FLUXONIUM = CircuitSpec.fluxonium(2.5, 0.5, 10.0, 0.5)
 

@@ -1,7 +1,11 @@
-"""The benchmark harness in ``perfbench/`` wraps package functions by name."""
+"""The benchmark harness in ``perfbench/`` wraps package functions by name and
+runs the CLI on configs of its own."""
 
 import importlib.util
+import sys
 from pathlib import Path
+
+from dvrcircuits.cli import config_from_dict
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -17,3 +21,15 @@ def test_every_traced_target_exists(monkeypatch):
     assert targets
     missing = [name for name, owner, attr, _ in targets if not hasattr(owner, attr)]
     assert missing == []
+
+
+def test_every_benchmark_config_parses(monkeypatch):
+    # a config the reader rejects would turn the benchmark's runs into failed outputs
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up there
+    spec.loader.exec_module(workloads)
+    calls = [call for workload in workloads.WORKLOADS.values() for call in workload.golden_calls()]
+    assert calls
+    for _, _, config in calls:
+        config_from_dict(config)

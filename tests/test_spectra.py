@@ -459,6 +459,22 @@ def test_eigensolve_residuals_backward_stable():
         assert res < 1e-10 * scale
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_eigensolve_equals_eigh(dtype):
+    # eigensolve makes the sweeps' one LAPACK call, asking for vectors too
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 30, 31):
+        a = rng.standard_normal((n, n)).astype(dtype)
+        if dtype is complex:
+            a += 1j * rng.standard_normal((n, n))
+        h = _solver_matrix(a + a.conj().T)
+        for k in {1, min(5, n)}:
+            got = eigensolve(OperatorMatrix(h), k)
+            values, vectors = scipy.linalg.eigh(h, subset_by_index=(0, k - 1))
+            assert np.array_equal(got.energies, values) and np.array_equal(got.eigvectors, vectors), (n, k)
+            assert got.eigvectors.dtype == vectors.dtype
+
+
 @pytest.mark.parametrize("dtype, top", [(float, 151), (complex, 101)])
 def test_direct_lapack_call_equals_eigvalsh(dtype, top):
     # every leading and centred block of one matrix, as a nested sweep solves
