@@ -47,11 +47,6 @@ class Spacing:
         if not 0.0 < value < math.inf:
             raise ConfigError(f"spacing {self.num}/{self.den} is not a positive double")
 
-    @classmethod
-    def of(cls, r, pi: bool = False) -> "Spacing":
-        frac = Fraction(r)
-        return cls(frac.numerator, frac.denominator, pi)
-
     @property
     def fraction(self) -> Fraction:
         return Fraction(self.num, self.den)
@@ -301,14 +296,12 @@ def _check_finite_moment(basis: DvrBasis, entries: np.ndarray) -> None:
         )
 
 
-def cosine_band(basis: DvrBasis, A: float, sign: int = +1) -> tuple[int, float | complex]:
-    """(k, u): cos(theta +/- 2*pi*A) in a charge DVR with integer k = 1/dN is u
+def cosine_band(basis: DvrBasis, A: float) -> tuple[int, float | complex]:
+    """(k, u): cos(theta + 2*pi*A) in a charge DVR with integer k = 1/dN is u
     at (alpha, alpha + k) and conj(u) at (alpha + k, alpha).  u = +-1/2 is real
-    when 2A is an integer, where exp(+-2 pi i A) = (-1)^(2A) exactly."""
+    when 2A is an integer, where exp(2 pi i A) = (-1)^(2A) exactly."""
     if basis.kind.is_phase:
         raise ConfigError("cosine_in_charge requires a charge kind")
-    if sign not in (+1, -1):
-        raise ConfigError(f"sign must be +1 or -1, got {sign}")
     frac = basis.spacing.fraction
     if basis.spacing.pi or frac.numerator != 1:
         raise ConfigError(
@@ -317,17 +310,17 @@ def cosine_band(basis: DvrBasis, A: float, sign: int = +1) -> tuple[int, float |
         )
     if float(2 * A).is_integer():
         return frac.denominator, 0.5 if float(A).is_integer() else -0.5
-    return frac.denominator, 0.5 * np.exp(sign * 2j * np.pi * A)
+    return frac.denominator, 0.5 * np.exp(2j * np.pi * A)
 
 
-def cosine_in_charge(basis: DvrBasis, A: float, sign: int = +1) -> OperatorMatrix:
-    """cos(theta +/- 2*pi*A) in a charge DVR with integer 1/dN.
+def cosine_in_charge(basis: DvrBasis, A: float) -> OperatorMatrix:
+    """cos(theta + 2*pi*A) in a charge DVR with integer 1/dN.
 
     The operator tunnels between grid points 1/dN apart, giving two bands of
     constant entries; the matrix is identical for the traditional and
     truncated charge kinds.
     """
-    k, upper = cosine_band(basis, A, sign)
+    k, upper = cosine_band(basis, A)
     d = basis.dim
     # For d <= k both bands fall outside the matrix and the tunneling term
     # contributes nothing (the index ranges below are empty).

@@ -2,8 +2,10 @@
 
 Centered stencils of arbitrary even accuracy order 2M are generated by
 inverting the Taylor matrix of the surrounding grid points.  The Hamiltonian
-is -4 E_C d^2/dtheta^2 plus the diagonal potential, with either hard-wall
-(out-of-grid taps zeroed) or periodic (indices wrapped) boundaries.
+is -4 E_C d^2/dtheta^2, the Toeplitz matrix of the stencil column, plus the
+potential on the grid, with either hard-wall (out-of-grid taps zeroed) or
+periodic (taps wrapped into the column) boundaries.  It is banded, so
+``spectra._blocks``, the one route to what a solve reads, passes it whole.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 
-from .circuits import CircuitSpec, HamiltonianTerm, OperatorKind, terms
+from .circuits import CircuitSpec, OperatorKind, terms
 from .dvr import OperatorMatrix
 from .errors import ConfigError
 
@@ -81,51 +83,38 @@ def fd_coefficients(order_M: int) -> np.ndarray:
 
 
 def second_derivative_matrix(grid: FdGrid) -> np.ndarray:
-    """Stencil matrix D2 such that D2 @ f approximates f'' * spacing^2."""
+    """Stencil matrix D2 such that D2 @ f approximates f'' * spacing^2: the
+    Toeplitz matrix of the stencil column, which on a periodic grid holds the
+    wrapped taps too (a symmetric circulant is its own Toeplitz matrix)."""
     M = grid.order_M
     coeffs = fd_coefficients(M)
     col = np.zeros(grid.dim)
     col[: M + 1] = coeffs[M:]
     if grid.boundary is Boundary.PERIODIC:
         col[grid.dim - M :] = coeffs[:M]
-        return scipy.linalg.circulant(col)
     return scipy.linalg.toeplitz(col)
-
-
-def _potential(spec: CircuitSpec, theta: np.ndarray) -> np.ndarray:
-    v = np.zeros_like(theta)
-    for term in terms(spec):
-        v += _potential_term(term, theta)
-    return v
-
-
-def _potential_term(term: HamiltonianTerm, theta: np.ndarray) -> np.ndarray:
-    if term.kind is OperatorKind.THETA_SQUARED:
-        return term.coefficient * theta ** 2
-    if term.kind is OperatorKind.COS_THETA:
-        return term.coefficient * np.cos(theta + 2.0 * np.pi * term.flux)
-    if term.kind is OperatorKind.N_SQUARED:
-        return np.zeros_like(theta)  # kinetic part, handled by the stencil
-    if term.kind is OperatorKind.N_SHIFTED_SQUARED:
-        if term.offset != 0.0:
-            raise ConfigError(
-                "finite differences support the transmon only at zero offset charge "
-                "(nonzero N_g needs a first-derivative term)"
-            )
-        return np.zeros_like(theta)
-    raise ConfigError(f"unsupported term kind {term.kind!r}")
 
 
 def fd_hamiltonian(spec: CircuitSpec, grid: FdGrid) -> OperatorMatrix:
     """Hamiltonian -4 E_C D2 / spacing^2 + diag(V) on the phase grid."""
-    d2 = second_derivative_matrix(grid)
     theta = grid.points()
     try:
         kinetic = -4.0 * spec.E_C / grid.spacing ** 2
     except (OverflowError, ZeroDivisionError):
         kinetic = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        h = kinetic * d2 + np.diag(_potential(spec, theta))
+        v = np.zeros_like(theta)
+        for term in terms(spec):
+            if term.kind is OperatorKind.THETA_SQUARED:
+                v += term.coefficient * theta ** 2
+            elif term.kind is OperatorKind.COS_THETA:
+                v += term.coefficient * np.cos(theta + 2.0 * np.pi * term.flux)
+            elif term.offset != 0.0:  # the kinetic term: the stencil holds it at N_g = 0 only
+                raise ConfigError(
+                    "finite differences support the transmon only at zero offset charge "
+                    "(nonzero N_g needs a first-derivative term)"
+                )
+        h = kinetic * second_derivative_matrix(grid) + np.diag(v)
     if not np.isfinite(h).all():
         raise ConfigError(f"the Hamiltonian on a grid of spacing {grid.spacing!r} is not finite")
     return OperatorMatrix(h)

@@ -11,15 +11,15 @@ and the parity blocks are built from that one list.
 is a block of the largest (:func:`nested_start`) it assembles once and slices,
 a narrow-banded matrix is solved on its bands, and a dense block with one
 direct LAPACK call (:func:`_lowest_values`), the call :func:`eigensolve`
-makes for eigenvectors too.  A dense Hamiltonian that
+makes for eigenvectors too.  What it and :func:`lowest_states` solve comes
+from one route, :func:`_blocks`: a dense Hamiltonian that
 commutes with the parity theta -> -theta (:func:`splits_by_parity`, decided
 from the circuit) is solved as an even and an odd block of half the size; a
 DVR builds them on the half grid as Toeplitz +- Hankel, strided views of the
 summed column, plus the diagonal; the HO basis as the tridiagonal parts of
 its quadratic terms plus the cosine's cached parity blocks
 (:func:`ho.cos_parity_blocks`), and :func:`assemble` builds the full HO
-matrix from the same blocks.  :func:`lowest_states` solves the same
-blocks for eigenvectors and maps them back to the full basis.
+matrix from the same blocks.  Any other H is solved whole.
 A sweep for the ground level alone solves one of the two blocks and proves
 with one shifted Cholesky factorization (:func:`_bounded_below`) that the
 other has nothing lower, solving it only when that proof fails.
@@ -534,28 +534,24 @@ def _ho_parity_blocks(spec: CircuitSpec, rep: HoRep) -> Callable[[int], tuple[np
     return blocks
 
 
-def _parity_blocks_by_size(
-    spec: CircuitSpec, rep: Representation
-) -> Callable[[int], tuple[np.ndarray, np.ndarray]]:
-    """blocks(dim): the (even, odd) blocks of H(dim), of sizes (dim + 1) // 2
-    and dim // 2, for a DVR or the HO basis; for a nested representation the
-    blocks of H(d) lead those of H(dim)."""
+def _blocks(spec: CircuitSpec, rep: Representation) -> Callable[[int], tuple[np.ndarray, ...]]:
+    """blocks(dim), the one route to the matrices a solve of H(dim) reads: the
+    (even, odd) blocks, of sizes (dim + 1) // 2 and dim // 2, of a DVR or the
+    HO basis where :func:`splits_by_parity` holds, and (H(dim),) otherwise.
+    For a nested representation the blocks of H(d) lead those of H(dim)."""
     check_compatible(spec, rep)
+    if not splits_by_parity(spec, rep):
+        return lambda dim: (assemble(spec, rep, dim).entries,)
     if isinstance(rep, DvrRep):
         return _dvr_parity_blocks(spec, rep)
     return _ho_parity_blocks(spec, rep)
-
-
-def _parity_blocks(spec: CircuitSpec, rep: Representation, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (even, odd) blocks of H(dim) (:func:`_parity_blocks_by_size`)."""
-    return _parity_blocks_by_size(spec, rep)(dim)
 
 
 def lowest_states(spec: CircuitSpec, rep: Representation, dim: int, k: int) -> Spectrum:
     """Lowest k eigenpairs of H(dim), ascending and unit-norm: the one route
     by which the package's commands get eigenvectors.
 
-    Where :func:`splits_by_parity` holds, each parity block is solved by
+    Where :func:`_blocks` gives two, each parity block is solved by
     :func:`eigensolve` for its lowest min(k, n) pairs and its vectors are
     mapped back to the full basis: in a DVR the even block's row 0 is the
     centre e_0 and its row j the state (e_j + e_-j)/sqrt(2), the odd block's
@@ -563,14 +559,14 @@ def lowest_states(spec: CircuitSpec, rep: Representation, dim: int, k: int) -> S
     are m = 0, 2, ... and the odd ones m = 1, 3, ....  Each vector therefore
     has an exact parity, c[M + j] = +-c[M - j] bit for bit in a DVR.  The
     lowest k values of the two blocks are merged by a stable sort, the even
-    block first on ties.  Any other circuit and representation is
-    ``eigensolve(assemble(spec, rep, dim), k)``.
+    block first on ties.  One block, H(dim), is ``eigensolve(H(dim), k)``.
     """
-    if not splits_by_parity(spec, rep):
-        return eigensolve(assemble(spec, rep, dim), k)
+    blocks = _blocks(spec, rep)(dim)
+    if len(blocks) == 1:
+        return eigensolve(OperatorMatrix(blocks[0]), k)
     if not 1 <= k <= dim:
         raise ConfigError(f"k must be in [1, {dim}], got {k}")
-    even, odd = _parity_blocks(spec, rep, dim)
+    even, odd = blocks
     parts = [eigensolve(OperatorMatrix(b), min(k, b.shape[0])) for b in (even, odd) if b.size]
     energies = np.concatenate([part.energies for part in parts])
     vectors = np.zeros((dim, energies.size), dtype=np.result_type(*(part.eigvectors for part in parts)))
@@ -665,10 +661,10 @@ def size_solver(
     """(solve, eta) for a sweep whose largest size is ``top``: solve(d) is the
     lowest min(upto, d-1)+1 eigenvalues at size d.
 
-    A nested representation is assembled and gated once, at ``top``, and
-    every size is solved on its block; any other is assembled per size.
-    Where :func:`splits_by_parity` holds, the same is done with the even and
-    odd blocks, and each size merges the lowest values of its two blocks.
+    The matrices of :func:`_blocks` are built and gated once, at ``top``, for
+    a nested representation, and every size is solved on its block of them;
+    any other builds them per size.  Where they are the even and odd blocks,
+    each size merges the lowest values of its two blocks.
 
     A split solve for the ground level alone (upto == 0) solves first the
     block that held the ground level at the previous call (the even block at
@@ -687,12 +683,10 @@ def size_solver(
     eigenvalue of the (merged) blocks' lower-triangle symmetric matrices;
     with a certified a0 the other block's exact lowest eigenvalue is >= a0.
     """
-    split = splits_by_parity(spec, rep)
-    parity_blocks = _parity_blocks_by_size(spec, rep) if split else None
+    blocks = _blocks(spec, rep)
 
     def solvers(d: int) -> tuple[list[np.ndarray], list[Callable[[int, int, int], np.ndarray]]]:
-        blocks = parity_blocks(d) if split else (assemble(spec, rep, d).entries,)
-        matrices = [_solver_matrix(b) for b in blocks]
+        matrices = [_solver_matrix(b) for b in blocks(d)]
         return matrices, [_block_solver(m) for m in matrices]
 
     nested = nested_start(rep, top, top) is not None
@@ -705,7 +699,7 @@ def size_solver(
         start = nested_start(rep, top, d) if nested else 0
         matrices, solvers_d = shared if nested else solvers(d)
         k = min(upto, d - 1)
-        if not split:
+        if len(solvers_d) == 1:
             return solvers_d[0](start, d, k)
         # the blocks of H(d) lead those of H(top)
         half = ((d + 1) // 2, d // 2)

@@ -14,9 +14,12 @@ matrix is the beta-th matrix power of a one-step matrix filled column by
 column.  The two-block sweep solves both parity blocks at every size and
 merges their lowest values, without the ground-level certificate of
 ``spectra.eigenvalues_by_size``.  The finite-difference stencil matrix sums
-one shifted identity per stencil offset instead of building one Toeplitz or
-circulant matrix from the stencil column.  The row-wise CSV writer formats
-one value at a time with ``cli._fmt`` instead of one column at a time.  The
+one shifted identity per stencil offset instead of building one Toeplitz
+matrix from the stencil column, and the per-term finite-difference
+Hamiltonian adds to it each potential term as a dense diagonal matrix,
+apart from the potential loop of ``fdm.fd_hamiltonian``.  The row-wise CSV
+writer formats one value at a time with ``cli._fmt`` instead of one column
+at a time.  The
 closed-form HO cosine element evaluates the displacement-operator matrix
 element in 60-digit arithmetic.  The dense HO Hamiltonian sums the
 pentadiagonal theta^2 and N^2 and the dense cosine of ``ho.cos_in_ho`` as
@@ -57,7 +60,7 @@ from dvrcircuits.spectra import (
     HoRep,
     Representation,
     _block_solver,
-    _parity_blocks,
+    _blocks,
     _solver_matrix,
     assemble,
     concrete_dvr_basis,
@@ -201,10 +204,10 @@ def eigenvalues_by_size_merging_blocks(
         raise ConfigError("empty size list")
     top = max(sizes)
     split = splits_by_parity(spec, rep)
+    blocks = _blocks(spec, rep)
 
     def solvers(d):
-        blocks = _parity_blocks(spec, rep, d) if split else (assemble(spec, rep, d).entries,)
-        return [_block_solver(_solver_matrix(b)) for b in blocks]
+        return [_block_solver(_solver_matrix(b)) for b in blocks(d)]
 
     nested = nested_start(rep, top, top) is not None
     shared = solvers(top) if nested else None
@@ -232,6 +235,22 @@ def second_derivative_matrix_by_offsets(grid: FdGrid) -> np.ndarray:
         else:
             mat += c * np.eye(d, k=offset)
     return mat
+
+
+def fd_hamiltonian_by_terms(spec: CircuitSpec, grid: FdGrid) -> np.ndarray:
+    """-4 E_C / spacing^2 times the stencil matrix summed over its offsets, plus
+    the sum, in the order of ``terms(spec)``, of each potential term's
+    coefficient times its dense diagonal matrix on the grid."""
+    theta = grid.points()
+    kinetic, potential = None, 0
+    for term in terms(spec):
+        if term.kind is OperatorKind.THETA_SQUARED:
+            potential = potential + np.diag(term.coefficient * np.square(theta))
+        elif term.kind is OperatorKind.COS_THETA:
+            potential = potential + np.diag(term.coefficient * np.cos(theta + 2.0 * np.pi * term.flux))
+        else:
+            kinetic = -term.coefficient / grid.spacing**2
+    return kinetic * second_derivative_matrix_by_offsets(grid) + potential
 
 
 def write_csv_by_rows(path, header: list[str], rows: list[tuple]) -> None:

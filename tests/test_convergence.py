@@ -29,7 +29,7 @@ from dvrcircuits.spectra import (
     DvrRep,
     FdRep,
     HoRep,
-    _parity_blocks,
+    _blocks,
     _solver_matrix,
     _solves_banded,
     assemble,
@@ -259,7 +259,7 @@ def test_sliced_dense_sweep_equals_per_size_solves_exactly(spec, rep):
     assert splits_by_parity(spec, rep)
 
     def lowest_three(d):
-        blocks = [_solver_matrix(b) for b in _parity_blocks(spec, rep, d)]
+        blocks = [_solver_matrix(b) for b in _blocks(spec, rep)(d)]
         parts = [scipy.linalg.eigvalsh(b, subset_by_index=(0, min(2, b.shape[0] - 1))) for b in blocks]
         return np.sort(np.concatenate(parts))[:3]
 

@@ -12,7 +12,7 @@ from dvrcircuits.fdm import (
     fd_hamiltonian,
     second_derivative_matrix,
 )
-from oracles import second_derivative_matrix_by_offsets
+from oracles import fd_hamiltonian_by_terms, second_derivative_matrix_by_offsets
 
 LC = CircuitSpec.lc(1.0, 1.0)
 
@@ -82,11 +82,16 @@ def test_second_derivative_symmetric():
 @pytest.mark.parametrize("boundary", list(Boundary), ids=lambda b: b.value)
 @pytest.mark.parametrize("order", [1, 2, 3, 5])
 def test_second_derivative_matrix_matches_the_sum_over_offsets(order, boundary):
+    # and so does the Hamiltonian, with each potential term as a dense diagonal
+    specs = [LC, CircuitSpec.fluxonium(2.5, 0.5, 10.0, 0.37), CircuitSpec.transmon(0.2, 10.0, 0.0)]
     for half in sorted({order, order + 1, 7, 50, 299}):
         spacing = 2.0 * math.pi / (2 * half + 1) if boundary is Boundary.PERIODIC else 0.1
         grid = FdGrid(spacing, half, order, boundary)
         got = second_derivative_matrix(grid)
         assert got.tobytes() == second_derivative_matrix_by_offsets(grid).tobytes()
+        for spec in specs:
+            h = fd_hamiltonian(spec, grid).entries
+            assert np.array_equal(h, fd_hamiltonian_by_terms(spec, grid)), (spec.family, half)
 
 
 def test_lc_ground_energy_near_exact():

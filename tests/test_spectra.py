@@ -39,7 +39,8 @@ from dvrcircuits.spectra import (
     _bounded_below,
     _certificate_margin,
     _fluxonium_reference,
-    _parity_blocks,
+    _blocks,
+    _ho_parity_blocks,
     _solver_matrix,
     _transmon_reference,
     assemble,
@@ -295,7 +296,7 @@ _parity_cases = st.one_of(
 
 
 def _merged_block_values(spec, rep, dim, upto):
-    blocks = [b for b in _parity_blocks(spec, rep, dim) if b.size]
+    blocks = [b for b in _blocks(spec, rep)(dim) if b.size]
     return np.sort(np.concatenate([scipy.linalg.eigvalsh(b) for b in blocks]))[: upto + 1]
 
 
@@ -330,7 +331,7 @@ def test_transmon_phase_grid_splits_at_zero_offset_charge():
 def test_parity_blocks_of_each_size_lead_those_of_the_largest(case, a, b):
     spec, rep = case
     dim, top = sorted((a, b))
-    for small, big in zip(_parity_blocks(spec, rep, dim), _parity_blocks(spec, rep, top)):
+    for small, big in zip(_blocks(spec, rep)(dim), _blocks(spec, rep)(top)):
         n = small.shape[0]
         assert np.array_equal(small, big[:n, :n])
 
@@ -341,7 +342,7 @@ def test_ho_parity_blocks_are_the_parity_slices_of_the_assembled_matrix(spec):
         rep = HoRep(scale, 121)
         for d in (1, 2, 21, 121):
             h = ho_hamiltonian_dense(spec, rep, d)
-            even, odd = _parity_blocks(spec, rep, d)
+            even, odd = _ho_parity_blocks(spec, rep)(d)
             assert np.array_equal(even, h[0::2, 0::2]) and np.array_equal(odd, h[1::2, 1::2])
 
 
@@ -362,12 +363,36 @@ def test_ho_assembly_equals_the_dense_sum_of_its_terms():
 
 
 def test_parity_blocks_have_the_half_sizes():
-    for rep in ALL_DVR_REPS + [HoRep(LengthScale.LC, 121)]:
-        for d in (1, 3, 21):
-            even, odd = _parity_blocks(FLUXONIUM, rep, d)
-            assert even.shape == ((d + 1) // 2,) * 2 and odd.shape == (d // 2,) * 2
-            if isinstance(rep, DvrRep):  # symmetric by construction on the half grid
-                assert np.array_equal(even, even.T) and np.array_equal(odd, odd.T)
+    # _blocks gives two blocks exactly where splits_by_parity holds, and
+    # otherwise H itself, from which lowest_states takes the dense solve
+    bounded = ALL_DVR_REPS + [HoRep(LengthScale.LC, 121), FdRep(math.pi / 48, 1, Boundary.BOUNDED)]
+    periodic = [charge_basis(), DvrRep(DvrKind.TRUNCATED_PHASE, None), FdRep(None, 1, Boundary.PERIODIC)]
+    cases = [
+        (LC, bounded),
+        (FLUXONIUM, bounded),
+        (CircuitSpec.fluxonium(2.5, 0.5, 10.0, 0.37), bounded),
+        (CircuitSpec.transmon(0.2, 10.0, 0.0), periodic),
+        (TRANSMON, periodic[:2]),  # finite differences take N_g = 0 only
+    ]
+    splits = 0
+    for spec, reps in cases:
+        for rep in reps:
+            for d in (3, 21) if isinstance(rep, FdRep) else (1, 3, 21):
+                blocks = _blocks(spec, rep)(d)
+                assert len(blocks) == (2 if splits_by_parity(spec, rep) else 1)
+                if len(blocks) == 1:
+                    assert np.array_equal(blocks[0], assemble(spec, rep, d).entries)
+                    got, want = lowest_states(spec, rep, d, min(d, 3)), eigensolve(assemble(spec, rep, d), min(d, 3))
+                    assert np.array_equal(got.energies, want.energies)
+                    assert np.array_equal(got.eigvectors, want.eigvectors)
+                    continue
+                splits += 1
+                even, odd = blocks
+                assert even.shape == ((d + 1) // 2,) * 2 and odd.shape == (d // 2,) * 2
+                if isinstance(rep, DvrRep):  # symmetric by construction on the half grid
+                    assert np.array_equal(even, even.T) and np.array_equal(odd, odd.T)
+    # per size: the LC's DVRs, the fluxonium's DVRs and HO at A = 1/2, the transmon's phase grid at N_g = 0
+    assert splits == 3 * (4 + 5 + 1)
 
 
 def _todays_route(spec, rep, sizes, upto):
@@ -723,7 +748,7 @@ def test_odd_ground_sweep_refuses_at_most_once(monkeypatch, frac):
     # at every size; the first size tries the even block first
     rep = DvrRep(DvrKind.TRADITIONAL_PHASE, Spacing(*frac, pi=True))
     for d in (3, 5, 51, 301):
-        even, odd = (scipy.linalg.eigvalsh(b)[0] for b in _parity_blocks(FLUXONIUM_CIRCUIT, rep, d))
+        even, odd = (scipy.linalg.eigvalsh(b)[0] for b in _blocks(FLUXONIUM_CIRCUIT, rep)(d))
         assert odd < even
     calls = _count_certificates(monkeypatch)
     eigenvalues_by_size(FLUXONIUM_CIRCUIT, rep, _GROUND_SIZES, 0)
