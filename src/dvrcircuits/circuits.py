@@ -16,7 +16,7 @@ import numbers
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ConfigError, reject_unknown
+from .errors import ConfigError, from_json, to_json
 
 
 class Family(str, Enum):
@@ -87,24 +87,15 @@ class CircuitSpec:
         return cls(Family.TRANSMON, E_C=E_C, E_J=E_J, N_g=N_g)
 
     def to_dict(self) -> dict:
-        out = {"family": self.family.value, "E_C": self.E_C}
-        for name in ("E_L", "E_J", "A", "N_g"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
+        return {name: value for name, value in to_json(self).items() if value is not None}
 
     @classmethod
     def from_dict(cls, data: dict) -> "CircuitSpec":
-        data = dict(data)
-        try:
-            family = Family(data.pop("family"))
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"bad circuit family: {exc}") from exc
-        reject_unknown(data, ("E_C", "E_L", "E_J", "A", "N_g"), "circuit")
-        if "E_C" not in data:
-            raise ConfigError("circuit requires E_C")
-        return cls(family, **data)
+        return from_json(cls, data, _CIRCUIT_PARSERS, "circuit")
+
+
+# the parameters go to CircuitSpec as they are, which checks them
+_CIRCUIT_PARSERS = {"family": Family, **dict.fromkeys(("E_C", "E_L", "E_J", "A", "N_g"), lambda raw: raw)}
 
 
 def terms(spec: CircuitSpec) -> list[HamiltonianTerm]:

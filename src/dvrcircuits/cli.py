@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,7 @@ from .convergence import (
     sweep_levels,
 )
 from .dvr import DvrKind, Spacing
-from .errors import ConfigError, NumericalError, json_int, json_number, reject_unknown
+from .errors import ConfigError, NumericalError, from_json, json_int, json_number, reject_unknown, to_json
 from .fdm import Boundary
 from .ho import LengthScale
 from .presets import (
@@ -62,62 +62,39 @@ from .states import ShiftSpec, decompose, flux_sweep
 # representation descriptors <-> JSON
 
 
-def rep_to_dict(rep: Representation) -> dict:
-    if isinstance(rep, DvrRep):
-        spacing = None if rep.spacing is None else rep.spacing.to_dict()
-        return {"type": "dvr", "kind": rep.kind.value, "spacing": spacing}
-    if isinstance(rep, HoRep):
-        return {"type": "ho", "scale": rep.scale.value, "embed_dim": rep.embed_dim}
-    if isinstance(rep, FdRep):
-        return {
-            "type": "fd",
-            "spacing": rep.spacing,
-            "order_M": rep.order_M,
-            "boundary": rep.boundary.value,
-        }
-    raise ConfigError(f"unknown representation {rep!r}")
+def _fd_spacing(raw) -> float | None:
+    """An FD grid spacing: a number, a spacing descriptor, or null for 2*pi/d."""
+    if isinstance(raw, dict):
+        return Spacing.from_dict(raw).value
+    if raw is not None:
+        raw = json_number(raw, "fd spacing")
+        if not raw > 0.0:
+            raise ConfigError(f"fd spacing must be finite and positive, got {raw!r}")
+    return raw
 
 
-# the fields of each representation type; a field left out takes the
-# representation's default (a spacing, None)
-_REP_FIELDS = {
-    "dvr": ("type", "kind", "spacing"),
-    "ho": ("type", "scale", "embed_dim"),
-    "fd": ("type", "spacing", "order_M", "boundary"),
+# each representation type: its class and one parser per field it may hold
+_REPS = {
+    "dvr": (DvrRep, {"kind": DvrKind, "spacing": lambda raw: None if raw is None else Spacing.from_dict(raw)}),
+    "ho": (HoRep, {"scale": LengthScale, "embed_dim": lambda raw: json_int(raw, "embed_dim")}),
+    "fd": (FdRep, {"spacing": _fd_spacing, "order_M": lambda raw: json_int(raw, "order_M"), "boundary": Boundary}),
 }
 
 
+def rep_to_dict(rep: Representation) -> dict:
+    for kind, (cls, _) in _REPS.items():
+        if isinstance(rep, cls):
+            return {"type": kind, **to_json(rep)}
+    raise ConfigError(f"unknown representation {rep!r}")
+
+
 def rep_from_dict(data: dict) -> Representation:
-    if not isinstance(data, dict) or "type" not in data:
-        raise ConfigError(f"representation descriptor needs a 'type' field: {data!r}")
-    kind = data["type"]
-    if not isinstance(kind, str) or kind not in _REP_FIELDS:
-        raise ConfigError(f"unknown representation type {kind!r}")
-    reject_unknown(data, _REP_FIELDS[kind], f"{kind} representation")
-    try:
-        if kind == "dvr":
-            spacing = data.get("spacing")
-            return DvrRep(
-                DvrKind(data["kind"]),
-                None if spacing is None else Spacing.from_dict(spacing),
-            )
-        if kind == "ho":
-            embed_dim = json_int(data.get("embed_dim", HoRep.embed_dim), "embed_dim")
-            return HoRep(LengthScale(data["scale"]), embed_dim)
-        spacing = data.get("spacing")
-        if isinstance(spacing, dict):
-            spacing = Spacing.from_dict(spacing).value
-        elif spacing is not None:
-            spacing = json_number(spacing, "fd spacing")
-            if not spacing > 0.0:
-                raise ConfigError(f"fd spacing must be finite and positive, got {spacing!r}")
-        return FdRep(
-            spacing,
-            json_int(data.get("order_M", FdRep.order_M), "order_M"),
-            Boundary(data.get("boundary", FdRep.boundary)),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad representation descriptor {data!r}: {exc}") from exc
+    kind = data.get("type") if isinstance(data, dict) else None
+    if not isinstance(kind, str) or kind not in _REPS:
+        raise ConfigError(f"a representation needs a 'type' field, one of {sorted(_REPS)}: {data!r}")
+    cls, parsers = _REPS[kind]
+    untagged = {name: value for name, value in data.items() if name != "type"}
+    return from_json(cls, untagged, parsers, f"{kind} representation")
 
 
 def _slug(rep: Representation) -> str:
@@ -174,18 +151,8 @@ class RunConfig:
             ShiftSpec(beta, self.shift_direction)
 
     def to_dict(self) -> dict:
-        return {
-            "circuit": self.circuit.to_dict(),
-            "representations": [rep_to_dict(r) for r in self.representations],
-            "sizes": list(self.sizes),
-            "levels": list(self.levels),
-            "threshold_GHz": self.threshold_GHz,
-            "scale": self.scale.value,
-            "decompose_floor": self.decompose_floor,
-            "shift_betas": list(self.shift_betas),
-            "shift_direction": self.shift_direction,
-            "shift_rediagonalize": self.shift_rediagonalize,
-        }
+        # each representation keeps its "type" tag
+        return dict(to_json(self), representations=[rep_to_dict(r) for r in self.representations])
 
 
 def _parse_sizes(raw) -> tuple[int, ...]:
@@ -217,15 +184,7 @@ _FIELD_PARSERS = {
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    reject_unknown(data, _FIELD_PARSERS, "config")
-    for field in fields(RunConfig):
-        if field.default is MISSING and field.name not in data:
-            raise ConfigError(f"config requires a '{field.name}' field")
-    try:
-        parsed = {name: parse(data[name]) for name, parse in _FIELD_PARSERS.items() if name in data}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
-    return RunConfig(**parsed)
+    return from_json(RunConfig, data, _FIELD_PARSERS, "config")
 
 
 def load_config(path: str) -> RunConfig:
@@ -236,8 +195,6 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
     return config_from_dict(data)
 
 

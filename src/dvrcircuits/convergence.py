@@ -46,7 +46,6 @@ class ConvergenceCurve:
     level: int
     sizes: tuple[int, ...]
     deltas: np.ndarray
-    scale: Scale = Scale.ABSOLUTE
 
     def __post_init__(self):
         if len(self.sizes) != len(self.deltas):
@@ -100,11 +99,11 @@ def _unit(spec: CircuitSpec, scale: Scale) -> float:
 
 
 def _level_curve(
-    level: int, ref: float, sizes: tuple[int, ...], spectra: list[np.ndarray], unit: float, scale: Scale
+    level: int, ref: float, sizes: tuple[int, ...], spectra: list[np.ndarray], unit: float
 ) -> ConvergenceCurve:
     kept = [i for i, d in enumerate(sizes) if d > level]
     deltas = np.array([spectra[i][level] - ref for i in kept]) / unit
-    return ConvergenceCurve(level, tuple(sizes[i] for i in kept), deltas, scale)
+    return ConvergenceCurve(level, tuple(sizes[i] for i in kept), deltas)
 
 
 def sweep_levels(
@@ -124,7 +123,7 @@ def sweep_levels(
     refs = [reference_energy(spec, n) for n in levels]
     spectra = eigenvalues_by_size(spec, rep, sizes, max(levels))
     unit = _unit(spec, scale)
-    return [_level_curve(n, ref, sizes, spectra, unit, scale) for n, ref in zip(levels, refs)]
+    return [_level_curve(n, ref, sizes, spectra, unit) for n, ref in zip(levels, refs)]
 
 
 def sweep(
@@ -325,6 +324,6 @@ def level_metrics(
         if record is not None:
             out.append(LevelMetrics(n, record, "bisected", len(read)))
             continue
-        curve = _level_curve(n, ref, sizes, [values(i) for i in range(len(sizes))], unit, scale)
+        curve = _level_curve(n, ref, sizes, [values(i) for i in range(len(sizes))], unit)
         out.append(LevelMetrics(n, metrics(curve, threshold), "full", len(curve.sizes)))
     return out

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigError, json_int, reject_unknown
+from .errors import ConfigError, from_json, json_int, to_json
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,8 @@ class Spacing:
     pi: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.pi, bool):
+            raise ConfigError(f"spacing 'pi' must be true or false, got {self.pi!r}")
         if self.num <= 0 or self.den <= 0:
             raise ConfigError(f"spacing must be positive, got {self.num}/{self.den}")
         try:
@@ -57,20 +59,15 @@ class Spacing:
         return v * math.pi if self.pi else v
 
     def to_dict(self) -> dict:
-        return {"num": self.num, "den": self.den, "pi": self.pi}
+        return to_json(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Spacing":
-        if not isinstance(data, dict):
-            raise ConfigError(f"bad spacing descriptor {data!r}")
-        reject_unknown(data, ("num", "den", "pi"), "spacing")
-        try:
-            num, den, pi = json_int(data["num"], "num"), json_int(data["den"], "den"), data.get("pi", False)
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"bad spacing descriptor {data!r}") from exc
-        if not isinstance(pi, bool):
-            raise ConfigError(f"spacing 'pi' must be true or false, got {pi!r}")
-        return cls(num, den, pi)
+        return from_json(cls, data, _SPACING_PARSERS, "spacing")
+
+
+# pi goes to Spacing as it is, which checks it
+_SPACING_PARSERS = {"num": lambda raw: json_int(raw, "num"), "den": lambda raw: json_int(raw, "den"), "pi": lambda raw: raw}
 
 
 class DvrKind(str, Enum):

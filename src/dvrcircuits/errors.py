@@ -1,7 +1,10 @@
-"""Shared exception types and the checks of config values and field names."""
+"""Shared exception types, the checks of config values, and the JSON codec that
+reads (:func:`from_json`) and writes (:func:`to_json`) every config descriptor."""
 
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
+from dataclasses import MISSING, fields
+from enum import Enum
 
 
 class ConfigError(ValueError):
@@ -42,3 +45,38 @@ def reject_unknown(data: dict, known: Iterable[str], what: str) -> None:
     unknown = set(data) - set(known)
     if unknown:
         raise ConfigError(f"unknown {what} fields: {sorted(unknown)}")
+
+
+def from_json(cls, data, parsers: dict[str, Callable], what: str):
+    """The dataclass cls read from the JSON object data, with one parser per
+    field it may hold: an unknown field or a missing one without a default is
+    a ConfigError naming it, and a field left out takes the dataclass default.
+    Only parsing is wrapped, so the errors of cls itself keep their message."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {data!r}")
+    reject_unknown(data, parsers, what)
+    for field in fields(cls):
+        if field.default is MISSING and field.name not in data:
+            raise ConfigError(f"{what} requires a '{field.name}' field")
+    try:
+        parsed = {name: parse(data[name]) for name, parse in parsers.items() if name in data}
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad {what} value: {exc}") from exc
+    return cls(**parsed)
+
+
+def to_json(obj) -> dict:
+    """The fields of the dataclass obj in declaration order, as JSON values:
+    an enum as its value, a tuple as a list, a nested descriptor through its
+    ``to_dict``."""
+    return {field.name: _json_value(getattr(obj, field.name)) for field in fields(obj)}
+
+
+def _json_value(value):
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_json_value(item) for item in value]
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    return value

@@ -114,7 +114,9 @@ def fd_hamiltonian(spec: CircuitSpec, grid: FdGrid) -> OperatorMatrix:
                     "finite differences support the transmon only at zero offset charge "
                     "(nonzero N_g needs a first-derivative term)"
                 )
-        h = kinetic * second_derivative_matrix(grid) + np.diag(v)
+        h = second_derivative_matrix(grid)
+        h *= kinetic
+        h.flat[:: grid.dim + 1] += v
     if not np.isfinite(h).all():
         raise ConfigError(f"the Hamiltonian on a grid of spacing {grid.spacing!r} is not finite")
     return OperatorMatrix(h)

@@ -76,7 +76,7 @@ class DvrRep:
     """
 
     kind: DvrKind
-    spacing: Spacing | None
+    spacing: Spacing | None = None
 
     @property
     def label(self) -> str:
@@ -100,7 +100,7 @@ class HoRep:
 class FdRep:
     """Finite differences; ``spacing=None`` means the periodic 2*pi/d grid."""
 
-    spacing: float | None
+    spacing: float | None = None
     order_M: int = 1
     boundary: Boundary = Boundary.BOUNDED
 

@@ -90,7 +90,7 @@ def _scan_metrics(spec, rep, threshold, scale, bisected, key, ground_sweeps):
         bisected[key] = result.record
     # what sweep(spec, rep, sizes, 0, scale) computes, from the stored values
     values = ground_sweeps[0][(spec, rep)]
-    curve = _level_curve(0, reference_energy(spec, 0), sizes, values, _unit(spec, scale), scale)
+    curve = _level_curve(0, reference_energy(spec, 0), sizes, values, _unit(spec, scale))
     return metrics(curve, threshold)
 
 

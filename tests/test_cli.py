@@ -1,5 +1,6 @@
 import json
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from dvrcircuits.cli import (
     _rep_columns,
     _slug,
     _write_csv,
+    _write_manifest,
     config_from_dict,
     load_config,
     main,
@@ -28,7 +30,7 @@ from dvrcircuits.errors import ConfigError
 from dvrcircuits.fdm import Boundary
 from dvrcircuits.ho import LengthScale
 from dvrcircuits.presets import CHARGE_LIMIT, FLUXONIUM_CIRCUIT, LC_CIRCUIT, TRANSMON_LIMIT
-from dvrcircuits.spectra import DvrRep, FdRep, HoRep, charge_basis
+from dvrcircuits.spectra import DvrRep, FdRep, HoRep, Representation, charge_basis
 from oracles import write_csv_by_rows
 
 
@@ -53,13 +55,15 @@ def _write_config(tmp_path, doc):
 
 
 def test_rep_round_trip():
-    for rep in (
+    reps = (
         DvrRep(DvrKind.TRUNCATED_CHARGE, Spacing(1, 5)),
         DvrRep(DvrKind.TRUNCATED_PHASE, None),
         HoRep(LengthScale.PLASMA),
         FdRep(0.1, 2, Boundary.BOUNDED),
         FdRep(None, 1, Boundary.PERIODIC),
-    ):
+    )
+    assert {type(rep) for rep in reps} == set(typing.get_args(Representation))
+    for rep in reps:
         assert rep_from_dict(rep_to_dict(rep)) == rep
 
 
@@ -102,6 +106,26 @@ def test_descriptors_reject_unknown_fields(parse, data):
         parse(data)
 
 
+@pytest.mark.parametrize(
+    "parse, data, field",
+    [
+        (CircuitSpec.from_dict, {"E_C": 1.0, "E_L": 1.0}, "family"),
+        (CircuitSpec.from_dict, {"family": "lc", "E_L": 1.0}, "E_C"),
+        (Spacing.from_dict, {"den": 32, "pi": True}, "num"),
+        (Spacing.from_dict, {"num": 7, "pi": True}, "den"),
+        (rep_from_dict, {"type": "dvr", "spacing": {"num": 7, "den": 32, "pi": True}}, "kind"),
+        (rep_from_dict, {"type": "ho", "embed_dim": 501}, "scale"),
+        (config_from_dict, {k: v for k, v in LC_CONFIG.items() if k != "circuit"}, "circuit"),
+        (config_from_dict, {k: v for k, v in LC_CONFIG.items() if k != "representations"}, "representations"),
+        (config_from_dict, {k: v for k, v in LC_CONFIG.items() if k != "sizes"}, "sizes"),
+    ],
+    ids=["family", "E_C", "num", "den", "kind", "scale", "circuit", "representations", "sizes"],
+)
+def test_descriptors_name_a_missing_required_field(parse, data, field):
+    with pytest.raises(ConfigError, match=f"requires a '{field}' field"):
+        parse(data)
+
+
 def test_rep_defaults_are_those_of_the_representations():
     assert rep_from_dict({"type": "ho", "scale": "lc"}) == HoRep(LengthScale.LC)
     assert rep_from_dict({"type": "fd", "spacing": 0.1}) == FdRep(0.1)
@@ -112,6 +136,14 @@ def test_a_misspelt_spacing_field_exits_2(tmp_path):
     # {"Pi": true} once ran at 7/32 instead of 7 pi / 32
     reps = [{"type": "dvr", "kind": "truncated_phase", "spacing": {"num": 7, "den": 32, "Pi": True}}]
     cfg = _write_config(tmp_path, dict(LC_CONFIG, representations=reps))
+    assert main(["metrics", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert not (tmp_path / "x").exists()
+
+
+def test_an_array_of_pairs_is_not_a_circuit(tmp_path):
+    # a JSON array of [name, value] pairs once ran as the circuit it spells
+    circuit = [["family", "lc"], ["E_C", 1.0], ["E_L", 1.0]]
+    cfg = _write_config(tmp_path, dict(LC_CONFIG, circuit=circuit))
     assert main(["metrics", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     assert not (tmp_path / "x").exists()
 
@@ -184,10 +216,23 @@ def test_config_round_trip(config):
     assert config_from_dict(config.to_dict()) == config
 
 
-def test_presets_valid():
+# each preset's config_sha256: a change to how a config is written would
+# change the hash of every manifest, so it is pinned here
+_PRESET_SHA256 = {
+    "lc": "0f906a705144bef64f541ad8157ea26f897aa8f24a9b8c24bb773a380ff00785",
+    "fluxonium": "3328181efe856f8c3794551c6754d979623c0246d22ab6330ef57c36f8d9a1d1",
+    "transmon-tl": "870ceea6b47d6c65bf5b484d4cde8cf687b15e417f566fd88d2a9dec65e3f64a",
+    "transmon-cl": "d4250be3b7cebc60df66bc9262ec829cf03c81e7fa92409e101e19716559eaa8",
+}
+
+
+def test_presets_valid(tmp_path):
     for name in ("lc", "fluxonium", "transmon-tl", "transmon-cl"):
         config = preset_config(name)
         assert config.representations
+        _write_manifest(tmp_path, "metrics", config, 0.0, [], [])
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["config_sha256"] == _PRESET_SHA256[name]
     with pytest.raises(ConfigError):
         preset_config("squid")
 

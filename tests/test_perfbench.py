@@ -1,6 +1,8 @@
 """The benchmark harness in ``perfbench/`` wraps package functions by name and
 runs the CLI on configs of its own."""
 
+import ast
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -33,3 +35,30 @@ def test_every_benchmark_config_parses(monkeypatch):
     assert calls
     for _, _, config in calls:
         config_from_dict(config)
+
+
+def _resolves(module: str, name: str | None) -> bool:
+    """Whether ``import module`` (name None) or ``from module import name`` works."""
+    try:
+        imported = importlib.import_module(module)
+        if name is not None and not hasattr(imported, name):
+            importlib.import_module(f"{module}.{name}")  # a submodule not imported yet
+    except ImportError:
+        return False
+    return True
+
+
+def test_every_name_perfbench_imports_exists():
+    # the harness imports from the package inside functions too, so a removed
+    # or renamed name would fail only once the function that imports it runs
+    imported = []  # (file, module, name)
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dvrcircuits":
+                imported += [(path.name, node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                imported += [(path.name, alias.name, None) for alias in node.names
+                             if alias.name.split(".")[0] == "dvrcircuits"]
+    assert {file for file, _, _ in imported} >= {"layers.py", "make_golden.py", "worker.py"}
+    missing = [entry for entry in imported if not _resolves(*entry[1:])]
+    assert missing == []
