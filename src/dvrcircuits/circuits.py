@@ -11,12 +11,11 @@ Hamiltonian terms that the basis modules know how to represent:
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ConfigError, from_json, to_json
+from .errors import ConfigError, from_json, is_finite, to_json
 
 
 class Family(str, Enum):
@@ -69,7 +68,7 @@ class CircuitSpec:
                 continue
             if name not in required:
                 raise ConfigError(f"{name} is not a {self.family.value} parameter")
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not is_finite(value):
                 raise ConfigError(f"{name} must be a finite real number, got {value!r}")
             if name in ("E_C", "E_L", "E_J") and not value > 0:
                 raise ConfigError(f"{name} must be strictly positive, got {value!r}")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .circuits import CircuitSpec
 from .errors import ConfigError
-from .spectra import Representation, check_compatible, eigenvalues_by_size, reference_energy, size_solver
+from .spectra import Representation, check_compatible, reference_energy, size_solver
 
 DEFAULT_THRESHOLD_GHZ = 1e-6
 PRECISION_FLOOR_GHZ = 1e-12
@@ -116,12 +116,13 @@ def sweep_levels(
     """Delta_n versus matrix size for every level from one eigensolve per size;
     the curve of level n samples only the sizes d > n, the ones that contain it.
 
-    All sizes are solved in one call to :func:`spectra.eigenvalues_by_size`,
-    which assembles a nested representation once, at the largest size.
+    All sizes are solved by one :func:`spectra.size_solver` built at the
+    largest size, which assembles a nested representation once, there.
     """
     sizes, levels = _checked(spec, rep, sizes, levels)
     refs = [reference_energy(spec, n) for n in levels]
-    spectra = eigenvalues_by_size(spec, rep, sizes, max(levels))
+    solve, _ = size_solver(spec, rep, max(sizes), max(levels))
+    spectra = [solve(d) for d in sizes]
     unit = _unit(spec, scale)
     return [_level_curve(n, ref, sizes, spectra, unit) for n, ref in zip(levels, refs)]
 

@@ -19,6 +19,14 @@ class NumericalError(RuntimeError):
     """A numerical routine failed or received an invalid matrix."""
 
 
+def is_finite(value) -> bool:
+    """math.isfinite(value), and False for an integer beyond the float range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def json_int(value, name: str) -> int:
     """value if it is a JSON integer (not a bool, not a float), else ConfigError."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -31,13 +39,9 @@ def json_number(value, name: str) -> float:
     not a bool), else ConfigError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
+    if not is_finite(value):
         raise ConfigError(f"{name} must be finite, got {value!r}")
-    return number
+    return float(value)
 
 
 def reject_unknown(data: dict, known: Iterable[str], what: str) -> None:

@@ -19,7 +19,7 @@ import scipy.linalg
 
 from .circuits import CircuitSpec, OperatorKind, terms
 from .dvr import OperatorMatrix
-from .errors import ConfigError
+from .errors import ConfigError, is_finite
 
 
 class Boundary(str, Enum):
@@ -35,7 +35,7 @@ class FdGrid:
     boundary: Boundary = Boundary.BOUNDED
 
     def __post_init__(self):
-        if not 0.0 < self.spacing < math.inf:
+        if not (is_finite(self.spacing) and self.spacing > 0.0):
             raise ConfigError(f"spacing must be finite and positive, got {self.spacing}")
         if self.half_points < 1:
             raise ConfigError(f"half_points must be >= 1, got {self.half_points}")

@@ -10,7 +10,7 @@ and the parity blocks are built from that one list.
 :func:`size_solver` serves a sweep over matrix sizes: where every size
 is a block of the largest (:func:`nested_start`) it assembles once and slices,
 a narrow-banded matrix is solved on its bands, and a dense block with one
-direct LAPACK call (:func:`_lowest_values`), the call :func:`eigensolve`
+direct LAPACK call (:func:`_lowest`), the call :func:`eigensolve`
 makes for eigenvectors too.  What it and :func:`lowest_states` solve comes
 from one route, :func:`_blocks`: a dense Hamiltonian that
 commutes with the parity theta -> -theta (:func:`splits_by_parity`, decided
@@ -46,6 +46,7 @@ from .dvr import (
     OperatorMatrix,
     Spacing,
     cosine_band,
+    grid_points,
     traditional_moment_elements,
     truncated_moment_column,
 )
@@ -179,14 +180,11 @@ def concrete_dvr_basis(rep: DvrRep, dim: int) -> DvrBasis:
     return DvrBasis(rep.kind, rep.spacing, m)
 
 
-def _dvr_terms(
-    spec_terms: list[HamiltonianTerm], basis: DvrBasis, half: bool = False
-) -> list[tuple[bool, np.ndarray]]:
+def _dvr_terms(spec_terms: list[HamiltonianTerm], basis: DvrBasis) -> list[tuple[bool, np.ndarray]]:
     """Each of ``spec_terms`` in the DVR, times its coefficient, in that order.
 
     A function of the discretized variable is diagonal: (False, v), v[alpha + M]
-    its value at grid point alpha, or v[alpha] for alpha >= 0 only with
-    ``half`` (the parity blocks read no other).  A function of the conjugate
+    its value at grid point alpha.  A function of the conjugate
     variable depends only on n = alpha - beta: (True, t), t[n] for n >= 0 the
     first column of a Hermitian Toeplitz matrix.  That is the closed form on a
     traditional grid, and on a truncated grid the circulant's closed-form
@@ -197,11 +195,10 @@ def _dvr_terms(
     Called under :data:`_QUIET`.  ConfigError unless twice the sum of the
     terms' largest magnitudes is finite: that bounds every entry of the full
     matrix and of the parity blocks, where each entry adds at most two entries
-    of each term's column and one of its grid values at alpha >= 0.
+    of each term's column and one of its grid values.
     """
     n = np.arange(basis.dim)
-    # the values of dvr.grid_points(basis), or its entries from alpha = 0 on
-    grid = np.arange(0 if half else -basis.M, basis.M + 1) * basis.spacing_value
+    grid = grid_points(basis)
     reduced = []
     for term in spec_terms:
         on_grid = basis.kind.is_phase == (term.kind in (OperatorKind.THETA_SQUARED, OperatorKind.COS_THETA))
@@ -240,8 +237,6 @@ def _assemble_dvr(spec: CircuitSpec, rep: DvrRep, dim: int) -> OperatorMatrix:
 
 
 def _ho_basis(spec: CircuitSpec, rep: HoRep, dim: int) -> HoBasis:
-    if spec.family is Family.TRANSMON:
-        raise IncompatibleRepresentationError("harmonic-oscillator transmon is unsupported")
     if dim > rep.embed_dim:
         raise ConfigError(f"matrix dimension {dim} exceeds the HO embedding size {rep.embed_dim}")
     return HoBasis(length_scale(spec, rep.scale), dim, rep.embed_dim)
@@ -312,12 +307,11 @@ def _solver_matrix(h: np.ndarray) -> np.ndarray:
 
 def eigensolve(h: OperatorMatrix, k: int) -> Spectrum:
     """Lowest k eigenpairs of a Hermitian matrix, ascending and unit-norm, from
-    the one LAPACK call of :func:`_lowest_values`."""
+    the one LAPACK call of :func:`_lowest`."""
     dim = h.dim
     if not 1 <= k <= dim:
         raise ConfigError(f"k must be in [1, {dim}], got {k}")
-    a = _solver_matrix(h.entries)
-    energies, vectors = _lowest_values(a)(a, k - 1, vectors=True)
+    energies, vectors = _lowest(_solver_matrix(h.entries), k - 1, vectors=True)
     return Spectrum(energies, vectors, dim)
 
 
@@ -372,35 +366,29 @@ def _evr(dtype: np.dtype) -> tuple[str, Callable, Callable]:
     return (routine, *scipy.linalg.get_lapack_funcs((routine, routine + "_lwork"), dtype=dtype))
 
 
-def _lowest_values(h: np.ndarray) -> Callable[..., np.ndarray | tuple[np.ndarray, np.ndarray]]:
-    """lowest(a, upto, vectors=False): the lowest upto+1 eigenvalues of the
-    lower triangle of a square block a of h's dtype, from one LAPACK ?syevr or
-    ?heevr call: scipy.linalg.eigvalsh(a, subset_by_index=(0, upto)), bit for
-    bit, without its checks and copies.  With ``vectors`` it returns
-    (values, vectors), those of scipy.linalg.eigh with the same subset.
+def _lowest(a: np.ndarray, upto: int, vectors: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """The lowest upto+1 eigenvalues of the lower triangle of the square
+    matrix a, from one LAPACK ?syevr or ?heevr call for a's dtype:
+    scipy.linalg.eigvalsh(a, subset_by_index=(0, upto)), bit for bit, without
+    its checks and copies.  With ``vectors`` it returns (values, vectors),
+    those of scipy.linalg.eigh with the same subset.
 
     The workspace is the optimal one at a's own size, as eigvalsh queries it
     (about 1 us).  A minimal workspace makes ?sytrd run unblocked, and the
-    optimum of a larger matrix changed values too: with h's optimum, 16 of
-    the 151 leading blocks of one random real 151 x 151 matrix, solved for 5
+    optimum of a larger matrix changed values too: with the optimum of one
+    random real 151 x 151 matrix, 16 of its 151 leading blocks, solved for 5
     values, moved by up to 1e-14.  NaN and inf are not checked for: :func:`_solver_matrix`
     has rejected them.  LAPACK gets a Fortran-ordered copy of a.
     """
-    routine, evr, query = _evr(h.dtype)
+    routine, evr, query = _evr(a.dtype)
     names = ("lwork", "lrwork", "liwork") if routine == "heevr" else ("lwork", "liwork")
-
-    def lowest(a: np.ndarray, upto: int, vectors: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-        *sizes, info = query(a.shape[0], lower=1)
-        if not info:
-            workspace = {name: int(size.real) for name, size in zip(names, sizes)}
-            w, v, m, _, info = evr(
-                a, compute_v=int(vectors), range="I", lower=1, il=1, iu=upto + 1, **workspace
-            )
-        if info:
-            raise NumericalError(f"LAPACK ?{routine} failed (info {info})")
-        return (w[:m], v[:, :m]) if vectors else w[:m]
-
-    return lowest
+    *sizes, info = query(a.shape[0], lower=1)
+    if not info:
+        workspace = {name: int(size.real) for name, size in zip(names, sizes)}
+        w, v, m, _, info = evr(a, compute_v=int(vectors), range="I", lower=1, il=1, iu=upto + 1, **workspace)
+    if info:
+        raise NumericalError(f"LAPACK ?{routine} failed (info {info})")
+    return (w[:m], v[:, :m]) if vectors else w[:m]
 
 
 def _block_solver(h: np.ndarray) -> Callable[[int, int, int], np.ndarray]:
@@ -411,10 +399,8 @@ def _block_solver(h: np.ndarray) -> Callable[[int, int, int], np.ndarray]:
     """
     n, b = h.shape[0], half_bandwidth(h)
     if not _solves_banded(b, n):
-        lowest = _lowest_values(h)
-
         def dense(start: int, dim: int, upto: int) -> np.ndarray:
-            return lowest(h[start : start + dim, start : start + dim], upto)
+            return _lowest(h[start : start + dim, start : start + dim], upto)
 
         return dense
     bands = np.zeros((b + 1, n), dtype=h.dtype)
@@ -480,9 +466,9 @@ def _dvr_parity_blocks(spec: CircuitSpec, rep: DvrRep) -> Callable[[int], tuple[
     @np.errstate(**_QUIET)
     def blocks(dim: int) -> tuple[np.ndarray, np.ndarray]:
         basis = concrete_dvr_basis(rep, dim)
-        reduced = _dvr_terms(spec_terms, basis, half=True)
+        reduced = _dvr_terms(spec_terms, basis)
         m = basis.M
-        diag = sum(t for column, t in reduced if not column)
+        diag = sum(t for column, t in reduced if not column)[m:]
         col = sum(t for column, t in reduced if column)
         step = col.itemsize
         # toeplitz[j, k] = mirrored[m + j - k] = c[|j - k|], hankel[j, k] = c[j + k]
@@ -719,41 +705,29 @@ def size_solver(
     return solve, eta
 
 
-def eigenvalues_by_size(
-    spec: CircuitSpec, rep: Representation, sizes: tuple[int, ...], upto: int
-) -> list[np.ndarray]:
-    """Lowest min(upto, d-1)+1 eigenvalues at every size d, in the order given,
-    from one :func:`size_solver` built at the largest size."""
-    if not sizes:
-        raise ConfigError("empty size list")
-    solve, _ = size_solver(spec, rep, max(sizes), upto)
-    return [solve(d) for d in sizes]
-
-
 def eigenvalues(spec: CircuitSpec, rep: Representation, dim: int, upto: int) -> np.ndarray:
-    """Lowest upto+1 eigenvalues at one size; values-only fast path."""
-    return eigenvalues_by_size(spec, rep, (dim,), upto)[0]
+    """Lowest min(upto, dim-1)+1 eigenvalues at one size, by :func:`size_solver`."""
+    return size_solver(spec, rep, dim, upto)[0](dim)
 
 
 @lru_cache(maxsize=32)
-def _fluxonium_reference(spec: CircuitSpec) -> np.ndarray:
-    """Every eigenvalue of the LC-scale HO representation at size
-    FLUXONIUM_ORACLE_DIM, its embedding size: the sweep engine's solve, so a
-    parity-even fluxonium is solved as its two half-size blocks."""
-    dim = FLUXONIUM_ORACLE_DIM
-    energies = eigenvalues_by_size(spec, HoRep(LengthScale.LC, dim), (dim,), dim - 1)[0]
-    energies.flags.writeable = False
-    return energies
-
-
-@lru_cache(maxsize=32)
-def _transmon_reference(spec: CircuitSpec) -> np.ndarray:
-    """The lowest TRANSMON_ORACLE_LEVELS levels of the charge basis at size
-    TRANSMON_ORACLE_DIM, by the band solver's Sturm bisection (?sbevx, ABSTOL = 2 safmin):
-    its Sturm counts are exact for off-diagonals perturbed by a few eps relative
-    (Demmel, Applied Numerical Linear Algebra, sec. 5.3.4), so each level E is
-    good to a few eps (|E| + E_J), not eps ||H|| ~ eps E_C dim^2: no refinement."""
-    energies = eigenvalues_by_size(spec, charge_basis(), (TRANSMON_ORACLE_DIM,), TRANSMON_ORACLE_LEVELS - 1)[0]
+def _oracle(spec: CircuitSpec) -> np.ndarray:
+    """The read-only reference levels of a fluxonium or a transmon, from one
+    :func:`size_solver` call.  Fluxonium: every eigenvalue of the LC-scale HO
+    representation at size FLUXONIUM_ORACLE_DIM, its embedding size: the
+    sweep engine's solve, so a parity-even fluxonium is solved as its two
+    half-size blocks.  Transmon: the lowest TRANSMON_ORACLE_LEVELS levels of
+    the charge basis at size TRANSMON_ORACLE_DIM, by the band solver's Sturm
+    bisection (?sbevx, ABSTOL = 2 safmin): its Sturm counts are exact for
+    off-diagonals perturbed by a few eps relative (Demmel, Applied Numerical
+    Linear Algebra, sec. 5.3.4), so each level E is good to a few eps
+    (|E| + E_J), not eps ||H|| ~ eps E_C dim^2: no refinement."""
+    if spec.family is Family.FLUXONIUM:
+        dim = levels = FLUXONIUM_ORACLE_DIM
+        rep = HoRep(LengthScale.LC, dim)
+    else:
+        rep, dim, levels = charge_basis(), TRANSMON_ORACLE_DIM, TRANSMON_ORACLE_LEVELS
+    energies = size_solver(spec, rep, dim, levels - 1)[0](dim)
     energies.flags.writeable = False
     return energies
 
@@ -770,10 +744,7 @@ def reference_energy(spec: CircuitSpec, level: int) -> float:
         raise ConfigError(f"level must be >= 0, got {level}")
     if spec.family is Family.LC:
         return math.sqrt(8.0 * spec.E_C * spec.E_L) * (level + 0.5)
-    if spec.family is Family.FLUXONIUM:
-        energies = _fluxonium_reference(spec)
-    else:
-        energies = _transmon_reference(spec)
+    energies = _oracle(spec)
     if level >= energies.size:
         raise ConfigError(f"the {spec.family.value} reference holds {energies.size} levels, got level {level}")
     return float(energies[level])

@@ -4,10 +4,10 @@ The acceptance tests record one pass/fail line per criterion; replaying them
 in the terminal summary guarantees they appear in the run log even though
 pytest captures per-test output.
 
-``ground_sweeps`` runs the production route (``spectra.eigenvalues_by_size``)
-over d = 3-301 at level 0 once per test run for every LC and fluxonium preset
-pair, all of which split by parity; the acceptance scans and the comparison
-with the two-block merge read it.
+``ground_sweeps`` runs the production route (one ``spectra.size_solver``
+built at d = 301) over d = 3-301 at level 0 once per test run for every LC
+and fluxonium preset pair, all of which split by parity; the acceptance scans
+and the comparison with the two-block merge read it.
 """
 
 import time
@@ -16,7 +16,7 @@ import pytest
 
 from dvrcircuits.convergence import default_sizes
 from dvrcircuits.presets import FLUXONIUM_CIRCUIT, LC_CIRCUIT, fluxonium_representations, lc_representations
-from dvrcircuits.spectra import eigenvalues_by_size, splits_by_parity
+from dvrcircuits.spectra import size_solver, splits_by_parity
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -35,12 +35,13 @@ def record_acceptance(line: str) -> None:
 
 @pytest.fixture(scope="session")
 def ground_sweeps():
-    """({(spec, rep): eigenvalues_by_size(spec, rep, GROUND_SIZES, 0)} over
-    GROUND_POOL, {family: seconds those sweeps took})."""
+    """({(spec, rep): the level-0 values at every size of GROUND_SIZES, from
+    one size_solver} over GROUND_POOL, {family: seconds those sweeps took})."""
     values, seconds = {}, {}
     for spec, rep in GROUND_POOL:
         start = time.monotonic()
-        values[(spec, rep)] = eigenvalues_by_size(spec, rep, GROUND_SIZES, 0)
+        solve, _ = size_solver(spec, rep, max(GROUND_SIZES), 0)
+        values[(spec, rep)] = [solve(d) for d in GROUND_SIZES]
         seconds[spec.family] = seconds.get(spec.family, 0.0) + time.monotonic() - start
     return values, seconds
 

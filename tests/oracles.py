@@ -13,7 +13,7 @@ against the dense solve in ``test_spectra``).  The shift
 matrix is the beta-th matrix power of a one-step matrix filled column by
 column.  The two-block sweep solves both parity blocks at every size and
 merges their lowest values, without the ground-level certificate of
-``spectra.eigenvalues_by_size``.  The finite-difference stencil matrix sums
+``spectra.size_solver``.  The finite-difference stencil matrix sums
 one shifted identity per stencil offset instead of building one Toeplitz
 matrix from the stencil column, and the per-term finite-difference
 Hamiltonian adds to it each potential term as a dense diagonal matrix,
@@ -198,8 +198,9 @@ def flux_sweep_by_reassembly(
 def eigenvalues_by_size_merging_blocks(
     spec: CircuitSpec, rep: Representation, sizes: tuple[int, ...], upto: int
 ) -> list[np.ndarray]:
-    """``spectra.eigenvalues_by_size`` with both parity blocks of a split
-    representation solved at every size and their lowest values merged."""
+    """The values of one ``spectra.size_solver`` at every size, in the order
+    given, with both parity blocks of a split representation solved at every
+    size and their lowest values merged."""
     if not sizes:
         raise ConfigError("empty size list")
     top = max(sizes)

@@ -24,6 +24,11 @@ def test_energies_must_be_positive():
         CircuitSpec.lc(-1.0, 1.0)
     with pytest.raises(ConfigError):
         CircuitSpec.transmon(0.2, 0.0, 0.5)
+    # an integer beyond the float range is not finite
+    with pytest.raises(ConfigError, match="E_C"):
+        CircuitSpec.lc(10 ** 400, 1.0)
+    with pytest.raises(ConfigError, match="E_C"):
+        CircuitSpec.from_dict({"family": "lc", "E_C": 10 ** 400, "E_L": 1.0})
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), "0.5", True])

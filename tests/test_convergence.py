@@ -364,7 +364,6 @@ def test_level_metrics_raises_what_metrics_raises():
 
 def test_unsorted_sizes_fail_before_solving(monkeypatch):
     solved = _counting_size_solver(monkeypatch)
-    monkeypatch.setattr(convergence, "eigenvalues_by_size", lambda *args: solved.append(args))
     rep = DvrRep(DvrKind.TRUNCATED_PHASE, Spacing(1, 4, pi=True))
     for sizes in ((7, 5, 9, 11, 13), (5, 5, 7, 9, 11)):
         with pytest.raises(ConfigError, match="ascending"):

@@ -50,6 +50,8 @@ def test_stencil_exact_on_monomials():
 def test_grid_validation():
     with pytest.raises(ConfigError):
         FdGrid(0.0, 10)
+    with pytest.raises(ConfigError, match="spacing"):
+        FdGrid(10 ** 400, 3)  # an integer beyond the float range
     with pytest.raises(ConfigError):
         FdGrid(0.1, 2, order_M=3)
     with pytest.raises(ConfigError):

@@ -1,7 +1,11 @@
-"""The README's library quick start runs and prints what its comment claims."""
+"""The README's library quick start runs and prints what its comment claims,
+and every package name the README cites exists."""
 
+import importlib
 import re
 from pathlib import Path
+
+import dvrcircuits
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -14,3 +18,16 @@ def test_readme_quick_start_reaches_the_claimed_size(capsys):
     assert "# 29 ..." in blocks[0]
     assert namespace["m"].R == 29
     assert capsys.readouterr().out.startswith("29 ")
+
+
+def test_every_name_the_readme_cites_exists():
+    text = README.read_text()
+    modules = sorted(p.stem for p in Path(dvrcircuits.__file__).parent.glob("*.py") if p.stem != "__init__")
+    cited = sorted(set(re.findall(rf"`({'|'.join(modules)})\.(\w+)`", text)))
+    assert ("spectra", "size_solver") in cited
+    missing = [f"{m}.{name}" for m, name in cited if not hasattr(importlib.import_module(f"dvrcircuits.{m}"), name)]
+    assert missing == []
+    # the package exports every entry point the README lists
+    entry_points = re.findall(r"`(\w+)`", re.search(r"Other entry points:(.*?)\n\n", text, re.DOTALL).group(1))
+    assert "lowest_states" in entry_points
+    assert [name for name in entry_points if not hasattr(dvrcircuits, name)] == []

@@ -38,22 +38,21 @@ from dvrcircuits.spectra import (
     _block_solver,
     _bounded_below,
     _certificate_margin,
-    _fluxonium_reference,
     _blocks,
     _ho_parity_blocks,
+    _oracle,
     _solver_matrix,
-    _transmon_reference,
     assemble,
     charge_basis,
     check_compatible,
     concrete_dvr_basis,
     eigensolve,
     eigenvalues,
-    eigenvalues_by_size,
     lowest_states,
     nested_start,
     parity_even,
     reference_energy,
+    size_solver,
     splits_by_parity,
 )
 from oracles import dvr_hamiltonian_by_terms, eigenvalues_by_size_merging_blocks, ho_hamiltonian_dense
@@ -310,7 +309,7 @@ def test_parity_split_matches_the_full_dense_solve(case, a, b):
     h = assemble(spec, rep, dim).entries
     want = scipy.linalg.eigvalsh(h)[:5]
     tol = 64 * _EPS * np.abs(h).max()
-    got = eigenvalues_by_size(spec, rep, (dim, top), 4)[0]
+    got = size_solver(spec, rep, top, 4)[0](dim)
     assert got.shape == want.shape and np.abs(got - want).max() <= tol
     assert np.abs(_merged_block_values(spec, rep, dim, 4) - want).max() <= tol
 
@@ -320,7 +319,9 @@ def test_transmon_phase_grid_splits_at_zero_offset_charge():
     rep = DvrRep(DvrKind.TRUNCATED_PHASE, None)
     assert splits_by_parity(spec, rep) and not splits_by_parity(spec, charge_basis())
     sizes = (3, 9, 21, 41)
-    for d, got in zip(sizes, eigenvalues_by_size(spec, rep, sizes, 4)):
+    solve, _ = size_solver(spec, rep, max(sizes), 4)
+    for d in sizes:
+        got = solve(d)
         h = assemble(spec, rep, d).entries
         want = scipy.linalg.eigvalsh(h)[: min(4, d - 1) + 1]
         assert np.abs(got - want).max() <= 64 * _EPS * np.abs(h).max()
@@ -424,9 +425,9 @@ def _todays_route(spec, rep, sizes, upto):
 def test_asymmetric_and_banded_pairs_keep_their_route(spec, rep):
     assert not splits_by_parity(spec, rep)
     sizes = (7, 21, 41, 61)
-    got = eigenvalues_by_size(spec, rep, sizes, 4)
-    for g, w in zip(got, _todays_route(spec, rep, sizes, 4)):
-        assert np.array_equal(g, w)
+    solve, _ = size_solver(spec, rep, max(sizes), 4)
+    for d, w in zip(sizes, _todays_route(spec, rep, sizes, 4)):
+        assert np.array_equal(solve(d), w)
 
 
 def test_parity_is_decided_from_the_circuit_alone():
@@ -510,13 +511,12 @@ def test_direct_lapack_call_equals_eigvalsh(dtype, top):
         a += 1j * rng.standard_normal((top, top))
     h = a + a.conj().T
     before = h.copy()
-    lowest = spectra._lowest_values(h)
     for n in range(1, top + 1):
         for start in {0, (top - n) // 2}:
             block = h[start : start + n, start : start + n]
             for upto in (0, 4):
                 k = min(upto, n - 1)
-                got, want = lowest(block, k), scipy.linalg.eigvalsh(block, subset_by_index=(0, k))
+                got, want = spectra._lowest(block, k), scipy.linalg.eigvalsh(block, subset_by_index=(0, k))
                 assert got.dtype == want.dtype and np.array_equal(got, want), (n, start, upto)
     assert np.array_equal(h, before)
 
@@ -538,7 +538,9 @@ def test_banded_solver_gets_exactly_the_band_storage_of_each_block(monkeypatch):
         return real(ab, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "eig_banded", spy)
-    eigenvalues_by_size(LC, rep, sizes, 2)
+    solve, _ = size_solver(LC, rep, max(sizes), 2)
+    for d in sizes:
+        solve(d)
     assert len(seen) == len(sizes)
     for ab, d in zip(seen, sizes):
         h = assemble(LC, rep, d).entries
@@ -590,7 +592,7 @@ def test_ho_sweeps_after_the_benchmark_set_up_reuse_the_embeddings(monkeypatch):
     # the benchmark builds the fluxonium oracle and one HO matrix per length
     # scale before it times a pass; a sweep or a state solve at d <= 301 must
     # then read the cached embeddings, not diagonalize theta again
-    spectra._fluxonium_reference.cache_clear()
+    spectra._oracle.cache_clear()
     ho._embedded_blocks.cache_clear()
     reference_energy(FLUXONIUM, 0)
     for scale in LengthScale:
@@ -599,26 +601,25 @@ def test_ho_sweeps_after_the_benchmark_set_up_reuse_the_embeddings(monkeypatch):
     real = ho.eigh_tridiagonal
     monkeypatch.setattr(ho, "eigh_tridiagonal", lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
     for scale in LengthScale:
-        eigenvalues_by_size(FLUXONIUM, HoRep(scale), (3, 151, 301), 2)
+        solve, _ = size_solver(FLUXONIUM, HoRep(scale), 301, 2)
+        for d in (3, 151, 301):
+            solve(d)
         lowest_states(FLUXONIUM, HoRep(scale), 301, 5)
     assert calls == []
 
 
 def test_cached_arrays_are_read_only():
-    for cached in (
-        lambda: _fluxonium_reference(FLUXONIUM),
-        lambda: _transmon_reference(TRANSMON),
-    ):
-        before = cached().copy()
+    for spec in (FLUXONIUM, TRANSMON):
+        before = _oracle(spec).copy()
         with pytest.raises(ValueError):
-            cached().flat[0] = 99.0
-        assert np.array_equal(cached(), before)
+            _oracle(spec).flat[0] = 99.0
+        assert np.array_equal(_oracle(spec), before)
 
 
 def test_transmon_reference_oracle_self_consistent():
     for spec in (TRANSMON, CHARGE_LIMIT):
         a = reference_energy(spec, 0)
-        b = eigenvalues_by_size(spec, charge_basis(), (601,), TRANSMON_ORACLE_LEVELS - 1)[0][0]
+        b = eigenvalues(spec, charge_basis(), 601, TRANSMON_ORACLE_LEVELS - 1)[0]
         assert abs(a - b) < 1e-12
 
 
@@ -633,7 +634,7 @@ def test_transmon_reference_matches_the_mathieu_characteristic_values(E_C, E_J, 
     values = [scipy.special.mathieu_a(m, q) for m in orders]
     values += [scipy.special.mathieu_b(m, q) for m in orders if m]
     want = E_C * np.sort(values)[:TRANSMON_ORACLE_LEVELS]
-    got = _transmon_reference(CircuitSpec.transmon(E_C, E_J, N_g))
+    got = _oracle(CircuitSpec.transmon(E_C, E_J, N_g))
     assert got.shape == want.shape
     bound = 8 * np.finfo(float).eps * np.maximum(np.abs(want), 1.0)
     assert np.all(np.abs(got - want) <= bound)
@@ -714,7 +715,7 @@ def _pool_id(case):
 
 @pytest.mark.parametrize("spec, rep", _GROUND_POOL, ids=[_pool_id(c) for c in _GROUND_POOL])
 def test_ground_sweep_equals_the_two_block_merge(spec, rep, ground_sweeps):
-    got = ground_sweeps[0][(spec, rep)]  # eigenvalues_by_size(spec, rep, _GROUND_SIZES, 0)
+    got = ground_sweeps[0][(spec, rep)]  # the size_solver sweep of _GROUND_SIZES at level 0
     want = eigenvalues_by_size_merging_blocks(spec, rep, _GROUND_SIZES, 0)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
@@ -737,7 +738,8 @@ _ORDER_CASES = [
 @pytest.mark.parametrize("spec, rep", _ORDER_CASES, ids=[_pool_id(c) for c in _ORDER_CASES])
 def test_ground_sweep_values_do_not_depend_on_the_size_order(spec, rep, order):
     sizes = _GROUND_SIZES[::-1] if order == "descending" else tuple(random.Random(7).sample(_GROUND_SIZES, 150))
-    got = eigenvalues_by_size(spec, rep, sizes, 0)
+    solve, _ = size_solver(spec, rep, max(sizes), 0)
+    got = [solve(d) for d in sizes]
     want = eigenvalues_by_size_merging_blocks(spec, rep, sizes, 0)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
@@ -751,7 +753,9 @@ def test_odd_ground_sweep_refuses_at_most_once(monkeypatch, frac):
         even, odd = (scipy.linalg.eigvalsh(b)[0] for b in _blocks(FLUXONIUM_CIRCUIT, rep)(d))
         assert odd < even
     calls = _count_certificates(monkeypatch)
-    eigenvalues_by_size(FLUXONIUM_CIRCUIT, rep, _GROUND_SIZES, 0)
+    solve, _ = size_solver(FLUXONIUM_CIRCUIT, rep, max(_GROUND_SIZES), 0)
+    for d in _GROUND_SIZES:
+        solve(d)
     assert calls["run"] == len(_GROUND_SIZES) and calls["refused"] <= 1
 
 
@@ -759,7 +763,9 @@ def test_certificate_runs_only_for_split_ground_sweeps(monkeypatch, tmp_path):
     calls = _count_certificates(monkeypatch)
     sizes = default_sizes(41)
     # every level-0 size of a split pair takes one certificate
-    eigenvalues_by_size(FLUXONIUM_CIRCUIT, HoRep(LengthScale.LC), sizes, 0)
+    solve, _ = size_solver(FLUXONIUM_CIRCUIT, HoRep(LengthScale.LC), max(sizes), 0)
+    for d in sizes:
+        solve(d)
     assert calls["run"] == len(sizes)
     calls["run"] = 0
     # upto > 0, as `levels --preset fluxonium` asks, solves both blocks
@@ -775,8 +781,11 @@ def test_certificate_runs_only_for_split_ground_sweeps(monkeypatch, tmp_path):
     }
     (tmp_path / "levels.json").write_text(json.dumps(doc))
     assert main(["levels", "--config", str(tmp_path / "levels.json"), "--out", str(tmp_path / "x")]) == 0
+    rep = DvrRep(DvrKind.TRADITIONAL_PHASE, Spacing(5, 32, pi=True))
     for level in (1, 4):
-        eigenvalues_by_size(LC_CIRCUIT, DvrRep(DvrKind.TRADITIONAL_PHASE, Spacing(5, 32, pi=True)), sizes, level)
+        solve, _ = size_solver(LC_CIRCUIT, rep, max(sizes), level)
+        for d in sizes:
+            solve(d)
     # pairs that do not split: banded FD and LC HO, the transmon presets at N_g = 1/2
     for spec, rep in [
         (LC_CIRCUIT, FdRep(math.pi / 48, 1, Boundary.BOUNDED)),
@@ -786,7 +795,9 @@ def test_certificate_runs_only_for_split_ground_sweeps(monkeypatch, tmp_path):
         (CHARGE_LIMIT, DvrRep(DvrKind.TRUNCATED_PHASE, None)),
     ]:
         assert not splits_by_parity(spec, rep)
-        eigenvalues_by_size(spec, rep, sizes, 0)
+        solve, _ = size_solver(spec, rep, max(sizes), 0)
+        for d in sizes:
+            solve(d)
     assert calls["run"] == 0
 
 
