@@ -146,6 +146,8 @@ class RunConfig:
                     f"would write the same output files ({slug!r})"
                 )
             named[slug] = rep
+        if len(set(self.levels)) < len(self.levels):
+            raise ConfigError(f"levels must not repeat, got {list(self.levels)}")
         # every command rejects a shift the shift command could not apply
         for beta in (0, *self.shift_betas):
             ShiftSpec(beta, self.shift_direction)

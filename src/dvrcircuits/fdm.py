@@ -1,7 +1,8 @@
 """Finite-difference baseline in the continuous-phase representation.
 
-Centered stencils of arbitrary even accuracy order 2M are generated by
-inverting the Taylor matrix of the surrounding grid points.  The Hamiltonian
+Centered stencils of even accuracy order 2M take Fornberg's closed form
+(Math. Comp. 51, 699 (1988)), which tends to minus the phase DVR's N^2 column
+(Colbert & Miller, J. Chem. Phys. 96, 1982 (1992)) as M grows.  The Hamiltonian
 is -4 E_C d^2/dtheta^2, the Toeplitz matrix of the stencil column, plus the
 potential on the grid, with either hard-wall (out-of-grid taps zeroed) or
 periodic (taps wrapped into the column) boundaries.  It is banded, so
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -59,27 +61,19 @@ class FdGrid:
 
 
 def fd_coefficients(order_M: int) -> np.ndarray:
-    """Centered second-derivative stencil of 2M+1 points at unit spacing.
-
-    Built by inverting the Taylor matrix F_jk = (j-M)^k / k! and reading the
-    second-derivative row; divide by spacing^2 to apply on a real grid.
+    """Centered second-derivative stencil of 2M+1 points at unit spacing, for
+    offsets -M..M: c_{+-k} = 2 (-1)^(k+1) (M!)^2 / (k^2 (M-k)! (M+k)!) and
+    c_0 = -2 sum_k c_k, each computed exactly (c_k from c_(k-1) by their ratio)
+    and rounded once.  Divide by spacing^2 to apply on a real grid.
     """
     if order_M < 1:
         raise ConfigError(f"order_M must be >= 1, got {order_M}")
-    npts = 2 * order_M + 1
-    nodes = np.arange(-order_M, order_M + 1, dtype=float)
-    powers = np.arange(npts)
-    taylor = nodes[:, None] ** powers[None, :] / np.array(
-        [math.factorial(k) for k in powers], dtype=float
-    )
-    if abs(np.linalg.det(taylor)) == 0.0:
-        raise ConfigError("singular Taylor matrix")
-    rhs = np.zeros(npts)
-    rhs[2] = 1.0
-    coeffs = np.linalg.solve(taylor.T, rhs)
-    # the centered stencil is even in the offset; average out solver rounding
-    # so the resulting matrices are exactly symmetric
-    return 0.5 * (coeffs + coeffs[::-1])
+    M = order_M
+    taps = [Fraction(2 * M, M + 1)]
+    for k in range(2, M + 1):
+        taps.append(taps[-1] * Fraction(-(k - 1) ** 2 * (M - k + 1), k * k * (M + k)))
+    side = [float(c) for c in taps]
+    return np.array([*side[::-1], float(-2 * sum(taps)), *side])
 
 
 def second_derivative_matrix(grid: FdGrid) -> np.ndarray:

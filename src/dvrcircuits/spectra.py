@@ -126,11 +126,11 @@ class Spectrum:
     dim: int
 
     def __post_init__(self):
-        if np.any(np.diff(self.energies) < 0):
-            raise NumericalError("energies must be ascending")
+        if not (np.isfinite(self.energies).all() and np.all(np.diff(self.energies) >= 0)):
+            raise NumericalError("energies must be finite and ascending")
         norms = np.linalg.norm(self.eigvectors, axis=0)
-        if self.eigvectors.size and np.abs(norms - 1.0).max() > 1e-12:
-            raise NumericalError("eigenvectors must be unit-norm")
+        if self.eigvectors.size and not np.abs(norms - 1.0).max() <= 1e-12:
+            raise NumericalError("eigenvectors must be finite and unit-norm")
 
 
 def _transmon_compatible(rep: Representation) -> bool:
@@ -279,14 +279,15 @@ _GATE_ROWS = 128
 
 
 def _solver_matrix(h: np.ndarray) -> np.ndarray:
-    """The one gate before LAPACK: reject a non-Hermitian matrix (a NaN
-    defect fails the comparison too), then drop a numerically-zero imaginary
-    part so LAPACK takes the real path.
+    """The one gate before LAPACK: reject a non-finite or non-Hermitian
+    matrix, then drop a numerically-zero imaginary part so LAPACK takes the
+    real path.
 
     The defect is max |h - h^H| and the tolerance HERMITICITY_RTOL times
     max(max |h|, 1).  D = h - h^H is anti-Hermitian, so for a real h its
     largest entry is its largest magnitude: no absolute value is taken, and
-    max |h| is max(max h, -min h).  A NaN anywhere in h is a NaN in D.
+    max |h| is max(max h, -min h).  An inf in h would make the tolerance inf,
+    so a non-finite max |h| fails; a NaN anywhere in h is a NaN in D.
     """
     complex_h = np.iscomplexobj(h)
     strips = [slice(r, r + _GATE_ROWS) for r in range(0, h.shape[0], _GATE_ROWS)]
@@ -294,6 +295,8 @@ def _solver_matrix(h: np.ndarray) -> np.ndarray:
         scale = max((np.abs(h[rows]).max() for rows in strips), default=0.0)
     else:
         scale = max(h.max(initial=0.0), -h.min(initial=0.0))
+    if not scale < math.inf:
+        raise NumericalError(f"matrix is not finite (max |h| = {scale})")
     tol = HERMITICITY_RTOL * max(scale, 1.0)
     for rows in strips:
         d = h[rows] - (h[:, rows].conj().T if complex_h else h[:, rows].T)

@@ -157,6 +157,15 @@ def test_config_rejects_representations_that_share_a_file_name():
         config_from_dict(dict(LC_CONFIG, representations=[_DVR, _DVR]))
 
 
+@pytest.mark.parametrize("command", ["curve", "levels"])
+def test_config_rejects_repeated_levels(tmp_path, command, capsys):
+    # a repeated level would write its curve file, and its levels.csv rows, twice
+    cfg = _write_config(tmp_path, dict(LC_CONFIG, levels=[0, 1, 0]))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert "levels must not repeat" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_config_validates_compatibility():
     doc = {
         "circuit": {"family": "transmon", "E_C": 0.2, "E_J": 10.0, "N_g": 0.5},
@@ -200,7 +209,7 @@ _random_configs = st.one_of(
         st.just(pair[0]),
         st.just(tuple(pair[1])),
         st.lists(st.integers(1, 601), min_size=1, max_size=5).map(tuple),
-        st.lists(st.integers(0, 6), min_size=1, max_size=4).map(tuple),
+        st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True).map(tuple),
         st.floats(1e-15, 1.0),
         st.sampled_from(Scale),
         st.floats(0.0, 1e-3),

@@ -1,9 +1,12 @@
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from dvrcircuits.circuits import CircuitSpec
+from dvrcircuits.cli import main
 from dvrcircuits.errors import ConfigError
 from dvrcircuits.fdm import (
     Boundary,
@@ -45,6 +48,44 @@ def test_stencil_exact_on_monomials():
             got = c @ (x0 + nodes) ** p
             expect = p * (p - 1) * x0 ** (p - 2) if p >= 2 else 0.0
             assert abs(got - expect) <= 1e-9 * max(abs(expect), 1.0)
+
+
+def test_stencil_is_the_exact_stencil_rounded_once():
+    for M in range(1, 61):
+        side = [
+            Fraction(2 * (-1) ** (k + 1) * math.factorial(M) ** 2, k * k * math.factorial(M - k) * math.factorial(M + k))
+            for k in range(1, M + 1)
+        ]
+        centre = -2 * sum(Fraction(1, k * k) for k in range(1, M + 1))
+        # the taps differentiate every even power up to 2M exactly (odd powers
+        # by symmetry), which defines the 2M+1-point stencil
+        for q in range(M + 1):
+            moment = 2 * sum(c * k ** (2 * q) for k, c in enumerate(side, 1)) + (centre if q == 0 else 0)
+            assert moment == (2 if q == 1 else 0), (M, q)
+        exact = [float(c) for c in side]
+        assert fd_coefficients(M).tolist() == [*exact[::-1], float(centre), *exact], M
+
+
+def test_wide_stencil_tends_to_the_phase_dvr_column():
+    # as M grows the stencil becomes minus the traditional phase DVR's N^2
+    # column at unit spacing: 2 (-1)^(k+1) / k^2 off the centre, -pi^2/3 on it
+    M = 1000
+    c = fd_coefficients(M)
+    for k in range(1, 6):
+        assert abs(c[M + k] * k * k / 2 - (-1) ** (k + 1)) <= k * k / M
+    assert abs(c[M] + math.pi ** 2 / 3) <= 4 / M
+
+
+def test_metrics_run_at_a_wide_stencil(tmp_path):
+    doc = {
+        "circuit": {"family": "lc", "E_C": 1.0, "E_L": 1.0},
+        "representations": [{"type": "fd", "spacing": 0.1, "order_M": 100}],
+        "sizes": [201, 203, 205, 207, 209],
+    }
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["metrics", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "metrics.csv").exists()
 
 
 def test_grid_validation():

@@ -1,11 +1,14 @@
 """The README's library quick start runs and prints what its comment claims,
-and every package name the README cites exists."""
+every package name the README cites exists, and the CLI parses every
+command line the README shows."""
 
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 import dvrcircuits
+from dvrcircuits.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -31,3 +34,12 @@ def test_every_name_the_readme_cites_exists():
     entry_points = re.findall(r"`(\w+)`", re.search(r"Other entry points:(.*?)\n\n", text, re.DOTALL).group(1))
     assert "lowest_states" in entry_points
     assert [name for name in entry_points if not hasattr(dvrcircuits, name)] == []
+
+
+def test_every_readme_command_line_parses():
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", README.read_text(), re.DOTALL).group(1)
+    lines = block.splitlines()
+    assert lines and all(line.startswith("dvrcircuits ") for line in lines)
+    for line in lines:
+        args = build_parser().parse_args(shlex.split(line)[1:])  # argparse exits on a stale flag or choice
+        assert (args.config is None) != (args.preset is None), line

@@ -35,6 +35,7 @@ from dvrcircuits.spectra import (
     DvrRep,
     FdRep,
     HoRep,
+    Spectrum,
     _block_solver,
     _bounded_below,
     _certificate_margin,
@@ -466,6 +467,27 @@ def test_solver_gate_rejects_a_nan_matrix():
     for bad in (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.array([[1.0, np.nan], [np.nan, 1.0]])):
         with pytest.raises(NumericalError):
             _solver_matrix(bad)
+
+
+def test_solver_gate_rejects_an_infinite_matrix():
+    # an inf entry makes the tolerance inf: no defect may pass against it
+    for bad in (
+        np.array([[1.0, 2.0], [np.inf, 1.0]]),
+        np.array([[0.0, np.inf], [0.0, 0.0]]),
+        np.array([[0.0, -np.inf], [-np.inf, 0.0]]),
+        np.array([[1.0, 2.0j], [np.inf, 1.0]]),
+    ):
+        with pytest.raises(NumericalError, match="not finite"):
+            eigensolve(OperatorMatrix(bad), 1)
+
+
+def test_spectrum_rejects_nonfinite_energies_and_norms():
+    unit = np.eye(2)
+    for energies in ([np.nan, np.nan], [0.0, np.inf], [np.nan, 1.0]):
+        with pytest.raises(NumericalError, match="energies"):
+            Spectrum(np.array(energies), unit, 2)
+    with pytest.raises(NumericalError, match="unit-norm"):
+        Spectrum(np.array([0.0, 1.0]), np.array([[np.nan, 0.0], [0.0, 1.0]]), 2)
 
 
 def test_solver_gate_drops_numerically_zero_imaginary_part():
