@@ -40,6 +40,6 @@ from .spectra import (
     lowest_states,
     reference_energy,
 )
-from .states import ShiftSpec, StateVector, apply_shift, decompose, expectation, flux_sweep, shift_operator
+from .states import ShiftSpec, apply_shift, decompose, expectation, flux_sweep
 
 __version__ = "0.1.0"

@@ -148,8 +148,13 @@ class RunConfig:
             named[slug] = rep
         if len(set(self.levels)) < len(self.levels):
             raise ConfigError(f"levels must not repeat, got {list(self.levels)}")
+        # no beta would write a header-only shift CSV, a repeated one its rows twice
+        if not self.shift_betas:
+            raise ConfigError("shift_betas must not be empty")
+        if len(set(self.shift_betas)) < len(self.shift_betas):
+            raise ConfigError(f"shift_betas must not repeat, got {list(self.shift_betas)}")
         # every command rejects a shift the shift command could not apply
-        for beta in (0, *self.shift_betas):
+        for beta in self.shift_betas:
             ShiftSpec(beta, self.shift_direction)
 
     def to_dict(self) -> dict:
@@ -390,7 +395,7 @@ def cmd_decompose(config: RunConfig, out: Path, plot: bool) -> tuple[list[str], 
     dim = max(config.sizes)
     levels = max(config.levels) + 1
     for rep in config.representations:
-        table = decompose(lowest_states(config.circuit, rep, dim, levels), levels, config.decompose_floor)
+        table = decompose(lowest_states(config.circuit, rep, dim, levels), config.decompose_floor)
         name = f"decompose_{config.circuit.family.value}_{_slug(rep)}.csv"
         # row-major, as table.ravel(): level l, alpha a at entry l * dim + a
         level_column = [level for level in range(levels) for _ in range(dim)]
@@ -440,6 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dvrcircuits",
         description="Convergence studies of superconducting-circuit representations",
+        allow_abbrev=False,  # a truncated flag is an error, not an alias of the full one
     )
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="JSON run configuration")

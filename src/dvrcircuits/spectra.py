@@ -123,7 +123,6 @@ def charge_basis() -> DvrRep:
 class Spectrum:
     energies: np.ndarray
     eigvectors: np.ndarray  # column-major: eigvectors[:, i] belongs to energies[i]
-    dim: int
 
     def __post_init__(self):
         if not (np.isfinite(self.energies).all() and np.all(np.diff(self.energies) >= 0)):
@@ -311,11 +310,10 @@ def _solver_matrix(h: np.ndarray) -> np.ndarray:
 def eigensolve(h: OperatorMatrix, k: int) -> Spectrum:
     """Lowest k eigenpairs of a Hermitian matrix, ascending and unit-norm, from
     the one LAPACK call of :func:`_lowest`."""
-    dim = h.dim
-    if not 1 <= k <= dim:
-        raise ConfigError(f"k must be in [1, {dim}], got {k}")
+    if not 1 <= k <= h.dim:
+        raise ConfigError(f"k must be in [1, {h.dim}], got {k}")
     energies, vectors = _lowest(_solver_matrix(h.entries), k - 1, vectors=True)
-    return Spectrum(energies, vectors, dim)
+    return Spectrum(energies, vectors)
 
 
 def nested_start(rep: Representation, top: int, dim: int) -> int | None:
@@ -574,7 +572,7 @@ def lowest_states(spec: CircuitSpec, rep: Representation, dim: int, k: int) -> S
         vectors[m + 1 :, columns] = upper
         vectors[:m, columns] = sign * upper[::-1]
     order = np.argsort(energies, kind="stable")[:k]
-    return Spectrum(energies[order], vectors[:, order], dim)
+    return Spectrum(energies[order], vectors[:, order])
 
 
 def _certificate_margin(n: int, norm: float, a0: float) -> float:

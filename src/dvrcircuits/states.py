@@ -1,10 +1,11 @@
 """Eigenstate post-processing: decompositions, phase shifts, expectations.
 
-A DVR eigenvector *is* the coefficient vector of the state over the localized
-basis, so decompositions are squared magnitudes of its components.  Phase
-shifts by integer multiples of the grid spacing act as index shifts: zero
-filled at the boundary for the traditional phase DVR, wrapped for the
-truncated one.
+A state is its coefficient array: a DVR eigenvector *is* the vector of the
+state's coefficients over the localized basis, and every function here takes
+and returns that plain 1-D array.  Decompositions are squared magnitudes of
+its components.  Phase shifts by integer multiples of the grid spacing act as
+index shifts: zero filled at the boundary for the traditional phase DVR,
+wrapped for the truncated one.
 
 In a phase DVR the flux enters only through one grid diagonal,
 -E_J cos(theta_alpha + 2*pi*A).  So H(A) - H(A_0) is that diagonal's change,
@@ -29,19 +30,6 @@ from .spectra import DvrRep, Spectrum, assemble, concrete_dvr_basis, lowest_stat
 
 
 @dataclass(frozen=True)
-class StateVector:
-    coefficients: np.ndarray
-
-    @classmethod
-    def from_eigenvector(cls, spectrum: Spectrum, level: int) -> "StateVector":
-        """The level-th eigenvector; Spectrum has already checked it is unit-norm."""
-        return cls(np.asarray(spectrum.eigvectors[:, level]))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coefficients))
-
-
-@dataclass(frozen=True)
 class ShiftSpec:
     """Phase shift phi = beta * dTheta, applied in direction +1 or -1."""
 
@@ -58,36 +46,23 @@ class ShiftSpec:
         return self.beta * basis.spacing_value
 
 
-def decompose(spectrum: Spectrum, levels: int, floor: float = 0.0) -> np.ndarray:
-    """|c_alpha|^2 per (level, basis index), floored for log-scale plotting."""
-    if levels > spectrum.dim:
-        raise ConfigError(f"cannot decompose {levels} levels of a dim-{spectrum.dim} spectrum")
-    mags = np.abs(spectrum.eigvectors[:, :levels].T) ** 2
+def decompose(spectrum: Spectrum, floor: float = 0.0) -> np.ndarray:
+    """|c_alpha|^2 per (level, basis index) of every state the spectrum holds,
+    floored for log-scale plotting."""
+    mags = np.abs(spectrum.eigvectors.T) ** 2
     return np.maximum(mags, floor) if floor > 0.0 else mags
 
 
-def shift_operator(basis: DvrBasis, shift: ShiftSpec) -> OperatorMatrix:
-    """The shift as a matrix: (U c)[alpha] = c[alpha + k], k = beta * direction,
-    with alpha + k wrapped mod d on a truncated grid and U zero past the edge
-    of a traditional one (U = 0 once |k| >= d)."""
-    if not basis.kind.is_phase:
-        raise ConfigError("phase shifts require a phase-kind DVR")
-    d, k = basis.dim, shift.beta * shift.direction
-    if basis.kind.is_truncated:
-        return OperatorMatrix(np.roll(np.eye(d), k, axis=1))
-    return OperatorMatrix(np.eye(d, k=k))
+def apply_shift(c: np.ndarray, basis: DvrBasis, shift: ShiftSpec) -> tuple[np.ndarray, float]:
+    """Shift a state's coefficients; returns (shifted coefficients, norm).
 
-
-def apply_shift(state: StateVector, basis: DvrBasis, shift: ShiftSpec) -> tuple[StateVector, float]:
-    """Shift a state's expansion coefficients; returns (shifted state, norm).
-
-    Fast index-shift path, entrywise equal to shift_operator @ state.  The
-    returned norm is the validity check: below one means weight was pushed
-    off a traditional grid's boundary.
+    With k = beta * direction, shifted[alpha] = c[alpha + k], alpha + k wrapped
+    mod d on a truncated grid and zero past the edge of a traditional one
+    (all zero once |k| >= d).  The returned norm is the validity check: below
+    one means weight was pushed off a traditional grid's boundary.
     """
     if not basis.kind.is_phase:
         raise ConfigError("phase shifts require a phase-kind DVR")
-    c = state.coefficients
     if c.shape[0] != basis.dim:
         raise ConfigError("state dimension does not match the basis")
     k = shift.beta * shift.direction
@@ -101,13 +76,11 @@ def apply_shift(state: StateVector, basis: DvrBasis, shift: ShiftSpec) -> tuple[
         else:
             if -k < c.shape[0]:
                 shifted[-k:] = c[:k]
-    new = StateVector(shifted)
-    return new, new.norm()
+    return shifted, float(np.linalg.norm(shifted))
 
 
-def expectation(op: OperatorMatrix, state: StateVector) -> float:
-    """Real expectation value <state| op |state>."""
-    c = state.coefficients
+def expectation(op: OperatorMatrix, c: np.ndarray) -> float:
+    """Real expectation value <c| op |c>."""
     if op.dim != c.shape[0]:
         raise ConfigError(f"dimension mismatch: operator {op.dim}, state {c.shape[0]}")
     value = complex(np.vdot(c, op.entries @ c))
@@ -154,18 +127,21 @@ def flux_sweep(
     basis = concrete_dvr_basis(rep, dim)
     if not basis.kind.is_phase:
         raise ConfigError("flux sweeps require a phase DVR")
-    a_values = np.linspace(0.0, 1.0, 101) if a_values is None else np.asarray(a_values, dtype=float)
+    a_values = np.linspace(0.0, 1.0, 101) if a_values is None else np.asarray(a_values)
+    if a_values.ndim != 1 or a_values.dtype.kind not in "iuf" or not np.isfinite(a_values).all():
+        raise ConfigError(f"flux values must be a 1-D array of finite numbers, got {a_values!r}")
+    a_values = a_values.astype(float)
     h = assemble(spec, rep, dim)  # at the circuit's own A, on either path
     if rediagonalize:
         specs = [CircuitSpec.fluxonium(spec.E_C, spec.E_L, spec.E_J, a) for a in a_values.tolist()]
     else:
         specs = [spec]
     shifts = [ShiftSpec(beta, direction) for beta in betas]
-    grounds = [StateVector.from_eigenvector(lowest_states(s, rep, dim, 1), 0) for s in specs]
+    grounds = [lowest_states(s, rep, dim, 1).eigvectors[:, 0] for s in specs]
     # one row per prepared ground state, one column per beta
     states = [[apply_shift(ground, basis, shift)[0] for shift in shifts] for ground in grounds]
     shape = (len(grounds), len(shifts))
-    p = np.abs(np.reshape([[state.coefficients for state in row] for row in states], (*shape, dim))) ** 2
+    p = np.abs(np.reshape(states, (*shape, dim))) ** 2
     theta = grid_points(basis)
     # the same grid values _dvr_terms puts on the diagonal of H
     cos_own = np.cos(theta + 2.0 * np.pi * spec.A)

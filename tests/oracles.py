@@ -68,7 +68,7 @@ from dvrcircuits.spectra import (
     nested_start,
     splits_by_parity,
 )
-from dvrcircuits.states import ShiftSpec, StateVector, apply_shift, expectation
+from dvrcircuits.states import ShiftSpec, apply_shift, expectation
 
 
 def conj_moment_truncated_direct(basis: DvrBasis, power: int) -> OperatorMatrix:
@@ -170,7 +170,7 @@ def flux_sweep_by_reassembly(
         raise ConfigError("flux sweeps require a phase DVR")
     if a_values is None:
         a_values = np.linspace(0.0, 1.0, 101)
-    ground = StateVector.from_eigenvector(lowest_states(spec, rep, dim, 1), 0)
+    ground = lowest_states(spec, rep, dim, 1).eigvectors[:, 0]
     shifted = {beta: apply_shift(ground, basis, ShiftSpec(beta, direction))[0] for beta in betas}
     rows = []
     for a in a_values:
@@ -178,7 +178,7 @@ def flux_sweep_by_reassembly(
         h_a = assemble(spec_a, rep, dim)
         current_a = diag_of_discretized(basis, lambda th: np.sin(th + 2.0 * np.pi * float(a)))
         if rediagonalize:
-            base = StateVector.from_eigenvector(lowest_states(spec_a, rep, dim, 1), 0)
+            base = lowest_states(spec_a, rep, dim, 1).eigvectors[:, 0]
         for beta in betas:
             if rediagonalize:
                 state, _ = apply_shift(base, basis, ShiftSpec(beta, direction))

@@ -16,6 +16,7 @@ from dvrcircuits.cli import (
     _slug,
     _write_csv,
     _write_manifest,
+    build_parser,
     config_from_dict,
     load_config,
     main,
@@ -213,7 +214,7 @@ _random_configs = st.one_of(
         st.floats(1e-15, 1.0),
         st.sampled_from(Scale),
         st.floats(0.0, 1e-3),
-        st.lists(st.integers(0, 8), max_size=4).map(tuple),
+        st.lists(st.integers(0, 8), min_size=1, max_size=4, unique=True).map(tuple),
         st.sampled_from([-1, 1]),
         st.booleans(),
     )
@@ -329,7 +330,11 @@ def test_shift_command(tmp_path):
     assert len(lines) == 1 + 101 * 2
 
 
-@pytest.mark.parametrize("field, value", [("shift_direction", 0), ("shift_betas", [-3])])
+@pytest.mark.parametrize(
+    "field, value",
+    [("shift_direction", 0), ("shift_betas", [-3]), ("shift_betas", []), ("shift_betas", [1, 1])],
+    ids=["direction", "negative-beta", "no-beta", "repeated-beta"],
+)
 @pytest.mark.parametrize("command", ["curve", "metrics", "levels", "decompose", "shift"])
 def test_every_command_rejects_a_bad_shift_field(tmp_path, command, field, value):
     doc = {
@@ -450,6 +455,14 @@ def test_plot_script_labels_the_scale_of_the_curves(tmp_path, scale, label):
     out = tmp_path / "out"
     assert main(["curve", "--config", _write_config(tmp_path, doc), "--out", str(out), "--emit-plot-script"]) == 0
     assert f"set ylabel '{label}'" in (out / "plot.gp").read_text().splitlines()
+
+
+@pytest.mark.parametrize("argv", [["curve", "--preset", "lc", "--emit-plot"], ["curve", "--pres", "lc"]])
+def test_parser_rejects_a_truncated_flag(argv, capsys):
+    # argparse would otherwise read a prefix of a flag as the whole flag
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_exit_code_on_config_error(tmp_path):

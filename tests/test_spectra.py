@@ -485,9 +485,9 @@ def test_spectrum_rejects_nonfinite_energies_and_norms():
     unit = np.eye(2)
     for energies in ([np.nan, np.nan], [0.0, np.inf], [np.nan, 1.0]):
         with pytest.raises(NumericalError, match="energies"):
-            Spectrum(np.array(energies), unit, 2)
+            Spectrum(np.array(energies), unit)
     with pytest.raises(NumericalError, match="unit-norm"):
-        Spectrum(np.array([0.0, 1.0]), np.array([[np.nan, 0.0], [0.0, 1.0]]), 2)
+        Spectrum(np.array([0.0, 1.0]), np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 def test_solver_gate_drops_numerically_zero_imaginary_part():
@@ -833,7 +833,7 @@ def test_states_from_the_parity_blocks_match_the_dense_solve(rep, dim):
     got = lowest_states(FLUXONIUM_CIRCUIT, rep, dim, 5)
     h = assemble(FLUXONIUM_CIRCUIT, rep, dim).entries
     dense = eigensolve(OperatorMatrix(h), 6)
-    assert got.dim == dim and got.eigvectors.shape == (dim, 5)
+    assert got.eigvectors.shape == (dim, 5)
     assert np.abs(got.energies - dense.energies[:5]).max() <= 64 * _EPS * np.abs(h).max()
     # Davis-Kahan: a vector moves by at most v = 64 eps ||H|| / gap, its
     # populations by 2v + v^2; the largest row sum bounds ||H||_2

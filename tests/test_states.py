@@ -5,17 +5,8 @@ from dvrcircuits.circuits import CircuitSpec
 from dvrcircuits.dvr import DvrBasis, DvrKind, Spacing
 from dvrcircuits.errors import ConfigError
 from dvrcircuits.ho import LengthScale
-from dvrcircuits.spectra import DvrRep, FdRep, HoRep, assemble, eigensolve
-from dvrcircuits.states import (
-    ShiftSpec,
-    StateVector,
-    _grid_dot,
-    apply_shift,
-    decompose,
-    expectation,
-    flux_sweep,
-    shift_operator,
-)
+from dvrcircuits.spectra import DvrRep, FdRep, HoRep, assemble, eigensolve, lowest_states
+from dvrcircuits.states import ShiftSpec, _grid_dot, apply_shift, decompose, expectation, flux_sweep
 from oracles import flux_sweep_by_reassembly, shift_operator_by_powers
 
 FLUXONIUM = CircuitSpec.fluxonium(2.5, 0.5, 10.0, 0.5)
@@ -29,42 +20,49 @@ def _basis(rep, dim):
 
 def _ground(rep, dim, k=1):
     spectrum = eigensolve(assemble(FLUXONIUM, rep, dim), k)
-    return spectrum, StateVector.from_eigenvector(spectrum, 0)
+    return spectrum, spectrum.eigvectors[:, 0]
 
 
 # ---------------------------------------------------------------------------
 # decompositions
 
 
-def test_decompose_is_squared_magnitudes():
-    spectrum, _ = _ground(PHASE_REP, 41, k=3)
-    table = decompose(spectrum, 3)
-    assert np.array_equal(table, np.abs(spectrum.eigvectors[:, :3].T) ** 2)
+@pytest.mark.parametrize("split", [False, True], ids=["eigensolve", "lowest_states"])
+@pytest.mark.parametrize("dim, k", [(41, 3), (11, 1), (11, 11)])
+def test_decompose_is_squared_magnitudes(split, dim, k):
+    # one row per state the spectrum holds, however many rows the matrix has
+    if split:
+        spectrum = lowest_states(FLUXONIUM, PHASE_REP, dim, k)
+    else:
+        spectrum = eigensolve(assemble(FLUXONIUM, PHASE_REP, dim), k)
+    table = decompose(spectrum)
+    assert table.shape == (k, dim)
+    assert np.array_equal(table, np.abs(spectrum.eigvectors.T) ** 2)
 
 
 def test_decompose_rows_sum_to_one():
     spectrum, _ = _ground(TRUNC_REP, 61, k=5)
-    table = decompose(spectrum, 5)
+    table = decompose(spectrum)
     assert np.abs(table.sum(axis=1) - 1.0).max() < 1e-10
 
 
 def test_decompose_floor():
     spectrum, _ = _ground(PHASE_REP, 41, k=1)
-    table = decompose(spectrum, 1, floor=1e-16)
+    table = decompose(spectrum, floor=1e-16)
     assert table.min() >= 1e-16
 
 
 def test_decompose_level_bound():
-    spectrum, _ = _ground(PHASE_REP, 21, k=2)
+    # a spectrum cannot hold more states than the matrix has rows
     with pytest.raises(ConfigError):
-        decompose(spectrum, 22)
+        lowest_states(FLUXONIUM, PHASE_REP, 21, 22)
 
 
 def test_ho_decomposition_parity_structure():
     # At A = 1/2 fluxonium eigenstates have definite parity: even eigenstates
     # have no odd HO components and vice versa.
     spectrum = eigensolve(assemble(FLUXONIUM, HoRep(LengthScale.LC), 61), 4)
-    table = decompose(spectrum, 4)
+    table = decompose(spectrum)
     odd = np.arange(61) % 2 == 1
     for level in range(4):
         weight_odd = table[level, odd].sum()
@@ -74,7 +72,7 @@ def test_ho_decomposition_parity_structure():
 
 
 # ---------------------------------------------------------------------------
-# shift operators
+# shifts: apply_shift against the matrix power of the single-step shift
 
 
 def test_shift_spec_validation():
@@ -87,57 +85,49 @@ def test_shift_spec_validation():
 def test_truncated_shift_unitary_every_beta():
     basis = _basis(TRUNC_REP, 11)
     for beta in (0, 1, 5, 11, 14):
-        u = shift_operator(basis, ShiftSpec(beta)).entries
+        u = shift_operator_by_powers(basis, ShiftSpec(beta)).entries
         assert np.abs(u @ u.conj().T - np.eye(11)).max() == 0.0
 
 
 def test_truncated_full_cycle_is_identity():
     basis = _basis(TRUNC_REP, 11)
-    u = shift_operator(basis, ShiftSpec(11)).entries
+    u = shift_operator_by_powers(basis, ShiftSpec(11)).entries
     assert np.array_equal(u, np.eye(11))
 
 
 def test_traditional_full_shift_is_zero():
     basis = _basis(PHASE_REP, 11)
-    u = shift_operator(basis, ShiftSpec(11)).entries
+    u = shift_operator_by_powers(basis, ShiftSpec(11)).entries
     assert np.array_equal(u, np.zeros((11, 11)))
 
 
 @pytest.mark.parametrize("rep", [PHASE_REP, TRUNC_REP], ids=lambda rep: rep.kind.value)
 @pytest.mark.parametrize("direction", [+1, -1])
-@pytest.mark.parametrize("beta", [0, 1, 5, 11, 14])  # 11 = d, 14 = d + 3
-def test_shift_operator_equals_the_matrix_power(rep, direction, beta):
-    basis = _basis(rep, 11)
+@pytest.mark.parametrize("beta", [0, 1, 4, 5, 11, 13, 14])  # at d = 11: 11 = d, 14 = d + 3
+@pytest.mark.parametrize("dim", [11, 41])
+def test_apply_shift_equals_the_matrix_power(rep, direction, beta, dim):
+    basis = _basis(rep, dim)
     shift = ShiftSpec(beta, direction)
-    u = shift_operator(basis, shift).entries
-    expected = shift_operator_by_powers(basis, shift).entries
-    assert u.dtype == expected.dtype
-    assert np.array_equal(u, expected)
+    _, state = _ground(rep, dim)
+    shifted, norm = apply_shift(state, basis, shift)
+    # the matrix holds only zeros and ones, so its product moves entries exactly
+    expected = shift_operator_by_powers(basis, shift).entries @ state
+    assert shifted.dtype == state.dtype
+    assert np.array_equal(shifted, expected)
+    assert norm == np.linalg.norm(expected)
 
 
 def test_shift_requires_phase_basis():
     charge = DvrBasis(DvrKind.TRADITIONAL_CHARGE, Spacing(1, 4), 5)
     with pytest.raises(ConfigError):
-        shift_operator(charge, ShiftSpec(1))
+        apply_shift(np.ones(11), charge, ShiftSpec(1))
 
 
 def test_identity_shift_keeps_state():
     _, state = _ground(PHASE_REP, 41)
     shifted, norm = apply_shift(state, _basis(PHASE_REP, 41), ShiftSpec(0))
-    assert np.array_equal(shifted.coefficients, state.coefficients)
+    assert np.array_equal(shifted, state)
     assert np.isclose(norm, 1.0)
-
-
-def test_fast_path_equals_matrix_path():
-    for rep in (PHASE_REP, TRUNC_REP):
-        basis = _basis(rep, 41)
-        _, state = _ground(rep, 41)
-        for beta in (1, 4, 13):
-            for direction in (+1, -1):
-                shift = ShiftSpec(beta, direction)
-                fast, _ = apply_shift(state, basis, shift)
-                mat = shift_operator(basis, shift).entries @ state.coefficients
-                assert np.abs(fast.coefficients - mat).max() <= 1e-14
 
 
 def test_forward_backward_restores_interior_state():
@@ -146,12 +136,11 @@ def test_forward_backward_restores_interior_state():
     # evicts nothing and the round trip is lossless
     basis = _basis(PHASE_REP, 81)
     _, inner = _ground(PHASE_REP, 41)
-    coefficients = np.zeros(81, dtype=complex)
-    coefficients[20:61] = inner.coefficients
-    state = StateVector(coefficients)
+    state = np.zeros(81, dtype=complex)
+    state[20:61] = inner
     fwd, _ = apply_shift(state, basis, ShiftSpec(5, +1))
     back, norm = apply_shift(fwd, basis, ShiftSpec(5, -1))
-    assert np.abs(back.coefficients - state.coefficients).max() < 1e-13
+    assert np.abs(back - state).max() < 1e-13
     assert abs(norm - 1.0) < 1e-12
 
 
@@ -173,8 +162,7 @@ def test_two_pi_shift_raises_energy():
     _, state = _ground(rep, dim)
     shifted, _ = apply_shift(state, basis, ShiftSpec(beta))
     e0 = expectation(h, state)
-    renorm = StateVector(shifted.coefficients / np.linalg.norm(shifted.coefficients))
-    assert expectation(h, renorm) > e0
+    assert expectation(h, shifted / np.linalg.norm(shifted)) > e0
 
 
 def test_expectation_dimension_mismatch():
@@ -199,6 +187,17 @@ def test_flux_sweep_rows_and_reference_point():
     e_ref = eigensolve(assemble(FLUXONIUM, PHASE_REP, 41), 1).energies[0]
     row = next(r for r in rows if np.isclose(r[0], 0.5) and r[1] == 0.0)
     assert abs(row[2] - e_ref) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "a_values",
+    [[np.nan, np.inf], [0.3, -np.inf], 0.3, [[0.3, 0.5]], ["0.3"], [True, False], [0.3 + 0.1j]],
+    ids=["nan-inf", "minus-inf", "scalar", "2-D", "string", "bool", "complex"],
+)
+@pytest.mark.parametrize("rediagonalize", [False, True], ids=["held", "rediagonalized"])
+def test_flux_sweep_rejects_flux_values_that_are_not_finite_numbers(a_values, rediagonalize):
+    with pytest.raises(ConfigError, match="flux values"):
+        flux_sweep(FLUXONIUM, PHASE_REP, 21, betas=(0,), a_values=a_values, rediagonalize=rediagonalize)
 
 
 def test_flux_sweep_rejects_wrong_family():
