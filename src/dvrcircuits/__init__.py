@@ -14,20 +14,10 @@ from .convergence import (
     sweep,
     sweep_levels,
 )
-from .dvr import (
-    DvrBasis,
-    DvrKind,
-    OperatorMatrix,
-    Spacing,
-    conj_moment_traditional,
-    conj_moment_truncated,
-    cosine_in_charge,
-    diag_of_discretized,
-    grid_points,
-)
+from .dvr import DvrBasis, DvrKind, OperatorMatrix, Spacing, grid_points
 from .errors import ConfigError, IncompatibleRepresentationError, NumericalError
 from .fdm import Boundary, FdGrid, fd_coefficients, fd_hamiltonian
-from .ho import HoBasis, LengthScale, cos_in_ho, length_scale
+from .ho import HoBasis, LengthScale, length_scale
 from .spectra import (
     DvrRep,
     FdRep,

@@ -2,7 +2,8 @@
 
 All energies are stored as E/h in GHz.  A circuit is described by a
 :class:`CircuitSpec`, and :func:`terms` expands it into the ordered list of
-Hamiltonian terms that the basis modules know how to represent:
+Hamiltonian terms, the one statement of its Hamiltonian that every basis
+module builds its matrix from:
 
     LC:         4 E_C N^2 + (E_L/2) theta^2
     fluxonium:  4 E_C N^2 + (E_L/2) theta^2 - E_J cos(theta + 2 pi A)
@@ -26,7 +27,6 @@ class Family(str, Enum):
 
 class OperatorKind(str, Enum):
     N_SQUARED = "n_squared"
-    N_SHIFTED_SQUARED = "n_shifted_squared"
     THETA_SQUARED = "theta_squared"
     COS_THETA = "cos_theta"
 
@@ -35,8 +35,8 @@ class OperatorKind(str, Enum):
 class HamiltonianTerm:
     """One additive Hamiltonian contribution, coefficient in GHz.
 
-    ``offset`` carries N_g for N_SHIFTED_SQUARED; ``flux`` carries the flux
-    ratio A of cos(theta + 2*pi*A) for COS_THETA.
+    ``offset`` carries N_g of (N - N_g)^2 for N_SQUARED; ``flux`` carries the
+    flux ratio A of cos(theta + 2*pi*A) for COS_THETA.
     """
 
     coefficient: float
@@ -112,7 +112,7 @@ def terms(spec: CircuitSpec) -> list[HamiltonianTerm]:
         ]
     if spec.family is Family.TRANSMON:
         return [
-            HamiltonianTerm(4.0 * spec.E_C, OperatorKind.N_SHIFTED_SQUARED, offset=spec.N_g),
+            HamiltonianTerm(4.0 * spec.E_C, OperatorKind.N_SQUARED, offset=spec.N_g),
             HamiltonianTerm(-spec.E_J, OperatorKind.COS_THETA, flux=0.0),
         ]
     raise ConfigError(f"unknown family {spec.family!r}")

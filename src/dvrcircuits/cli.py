@@ -4,7 +4,7 @@ A run is described by a single JSON config (or a named preset) and produces
 deterministic CSV files plus a ``manifest.json`` recording the config hash,
 library versions, BLAS thread variables, and wall time.  Runs are sequential.
 Plotting is out of process: ``--emit-plot-script`` writes a gnuplot script next
-to the data.
+to the curves of ``curve``; any other command rejects it.
 
 Exit codes: 0 success, 2 config error or unwritable output, 3 numerical failure.
 """
@@ -332,7 +332,7 @@ def _sweep_entry(rep: Representation, level: int, path: str, sizes_solved: int) 
     return {"representation": rep.label, "level": level, "path": path, "sizes_solved": sizes_solved}
 
 
-def cmd_curve(config: RunConfig, out: Path, plot: bool) -> tuple[list[str], list[dict]]:
+def cmd_curve(config: RunConfig, out: Path) -> tuple[list[str], list[dict]]:
     curves = [
         (rep, curve)
         for rep in config.representations
@@ -348,8 +348,6 @@ def cmd_curve(config: RunConfig, out: Path, plot: bool) -> tuple[list[str], list
         _write_csv(out / name, ["size", "delta", "abs_delta", "sign"], rows)
         files.append(name)
         sweeps.append(_sweep_entry(rep, curve.level, "full", len(curve.sizes)))
-    if plot:
-        _plot_script(out, files, _YLABELS[config.scale])
     return files, sweeps
 
 
@@ -382,15 +380,15 @@ def _write_metrics(
     return [name], sweeps
 
 
-def cmd_metrics(config: RunConfig, out: Path, plot: bool) -> tuple[list[str], list[dict]]:
+def cmd_metrics(config: RunConfig, out: Path) -> tuple[list[str], list[dict]]:
     return _write_metrics(config, out, (config.levels[0],), "metrics.csv")
 
 
-def cmd_levels(config: RunConfig, out: Path, plot: bool) -> tuple[list[str], list[dict]]:
+def cmd_levels(config: RunConfig, out: Path) -> tuple[list[str], list[dict]]:
     return _write_metrics(config, out, config.levels, "levels.csv")
 
 
-def cmd_decompose(config: RunConfig, out: Path, plot: bool) -> tuple[list[str], list[dict]]:
+def cmd_decompose(config: RunConfig, out: Path) -> tuple[list[str], list[dict]]:
     files = []
     dim = max(config.sizes)
     levels = max(config.levels) + 1
@@ -405,7 +403,7 @@ def cmd_decompose(config: RunConfig, out: Path, plot: bool) -> tuple[list[str], 
     return files, []
 
 
-def cmd_shift(config: RunConfig, out: Path, plot: bool) -> tuple[list[str], list[dict]]:
+def cmd_shift(config: RunConfig, out: Path) -> tuple[list[str], list[dict]]:
     if config.circuit.family is not Family.FLUXONIUM:
         raise ConfigError("the shift command sweeps fluxonium flux; use a fluxonium circuit")
     phase_reps = [
@@ -457,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--emit-plot-script", action="store_true",
-        help="write a gnuplot script next to the CSV data",
+        help="write a gnuplot script next to the curve CSVs (curve only)",
     )
     return parser
 
@@ -467,13 +465,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if (args.config is None) == (args.preset is None):
             raise ConfigError("exactly one of --config or --preset is required")
+        if args.emit_plot_script and args.command != "curve":
+            raise ConfigError(f"--emit-plot-script plots curves; the {args.command} command writes none")
         config = load_config(args.config) if args.config else preset_config(args.preset)
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         start = time.monotonic()
-        files, sweeps = COMMANDS[args.command](config, out, args.emit_plot_script)
+        files, sweeps = COMMANDS[args.command](config, out)
+        if args.emit_plot_script:
+            _plot_script(out, files, _YLABELS[config.scale])
         _write_manifest(out, args.command, config, time.monotonic() - start, files, sweeps)
     except (ConfigError, OSError) as exc:  # OSError: --out or a file in it cannot be written
         print(f"config error: {exc}", file=sys.stderr)

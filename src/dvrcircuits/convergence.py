@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .circuits import CircuitSpec
-from .errors import ConfigError
+from .errors import ConfigError, is_integer
 from .spectra import Representation, check_compatible, reference_energy, size_solver
 
 DEFAULT_THRESHOLD_GHZ = 1e-6
@@ -83,6 +83,8 @@ def _checked(
     sizes, levels = tuple(sizes), tuple(levels)
     if not sizes or not levels:
         raise ConfigError("empty size or level list")
+    if not all(map(is_integer, sizes + levels)):
+        raise ConfigError(f"sizes and levels must be integers, got sizes {sizes} and levels {levels}")
     if any(s < 3 or s % 2 == 0 for s in sizes):
         raise ConfigError("sizes must be odd and >= 3")
     if any(a >= b for a, b in zip(sizes, sizes[1:])):

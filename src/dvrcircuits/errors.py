@@ -2,6 +2,7 @@
 reads (:func:`from_json`) and writes (:func:`to_json`) every config descriptor."""
 
 import math
+import numbers
 from collections.abc import Callable, Iterable
 from dataclasses import MISSING, fields
 from enum import Enum
@@ -25,6 +26,11 @@ def is_finite(value) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
+
+
+def is_integer(value) -> bool:
+    """Whether value is an integer, Python's or numpy's, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def json_int(value, name: str) -> int:

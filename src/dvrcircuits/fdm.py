@@ -3,10 +3,11 @@
 Centered stencils of even accuracy order 2M take Fornberg's closed form
 (Math. Comp. 51, 699 (1988)), which tends to minus the phase DVR's N^2 column
 (Colbert & Miller, J. Chem. Phys. 96, 1982 (1992)) as M grows.  The Hamiltonian
-is -4 E_C d^2/dtheta^2, the Toeplitz matrix of the stencil column, plus the
-potential on the grid, with either hard-wall (out-of-grid taps zeroed) or
-periodic (taps wrapped into the column) boundaries.  It is banded, so
-``spectra._blocks``, the one route to what a solve reads, passes it whole.
+is -c d^2/dtheta^2 for the circuit's term c N^2 (c = 4 E_C), the Toeplitz
+matrix of the stencil column, plus the potential on the grid, with either
+hard-wall (out-of-grid taps zeroed) or periodic (taps wrapped into the column)
+boundaries.  It is banded, so ``spectra._blocks``, the one route to what a
+solve reads, passes it whole.
 """
 
 from __future__ import annotations
@@ -90,12 +91,9 @@ def second_derivative_matrix(grid: FdGrid) -> np.ndarray:
 
 
 def fd_hamiltonian(spec: CircuitSpec, grid: FdGrid) -> OperatorMatrix:
-    """Hamiltonian -4 E_C D2 / spacing^2 + diag(V) on the phase grid."""
+    """Hamiltonian -c D2 / spacing^2 + diag(V) on the phase grid, for the
+    term c N^2 and the potential V of ``terms(spec)``."""
     theta = grid.points()
-    try:
-        kinetic = -4.0 * spec.E_C / grid.spacing ** 2
-    except (OverflowError, ZeroDivisionError):
-        kinetic = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
         v = np.zeros_like(theta)
         for term in terms(spec):
@@ -108,6 +106,11 @@ def fd_hamiltonian(spec: CircuitSpec, grid: FdGrid) -> OperatorMatrix:
                     "finite differences support the transmon only at zero offset charge "
                     "(nonzero N_g needs a first-derivative term)"
                 )
+            else:
+                try:
+                    kinetic = -term.coefficient / grid.spacing ** 2
+                except (OverflowError, ZeroDivisionError):
+                    kinetic = math.inf
         h = second_derivative_matrix(grid)
         h *= kinetic
         h.flat[:: grid.dim + 1] += v

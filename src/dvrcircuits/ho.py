@@ -17,6 +17,9 @@ cos(sqrt(B B^T)), sin(theta) off-diagonal with the block
 B sin(sqrt(B^T B)) / sqrt(B^T B) (Golub & Kahan, SIAM J. Numer. Anal. B 2,
 205 (1965)).  Both come from the eigendecompositions of the two half-size
 tridiagonals B^T B and B B^T, built once per length scale and embedding.
+:func:`cos_blocks` gives cos(theta + 2*pi*A) as its parity blocks, and
+:func:`from_parity_blocks` interleaves parity blocks into the matrix on the
+number states: the one form in which a Hamiltonian term leaves this module.
 """
 
 from __future__ import annotations
@@ -135,42 +138,39 @@ def _embedded_blocks(theta0: float, embed_dim: int) -> tuple[np.ndarray, np.ndar
     return blocks
 
 
-def _flux_phase(A: float) -> tuple[float, float]:
-    """(cos 2 pi A, sin 2 pi A), exactly (+-1, 0) when 2A is an integer."""
+def cos_blocks(basis: HoBasis, A: float) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(even, odd, off): the blocks of cos(theta + 2*pi*A) =
+    cos(2 pi A) cos(theta) - sin(2 pi A) sin(theta) on the even states
+    m = 0, 2, ... and the odd states m = 1, 3, ... of dim, and from the even
+    states to the odd ones; the block from the odd states to the even ones is
+    off's transpose.  Where 2A is an integer, cos(2 pi A) is exactly +-1 and
+    off is None: the entries between the parities are exactly 0."""
+    even, odd, sin = _embedded_blocks(basis.theta0, basis.embed_dim)
+    n_even, n_odd = (basis.dim + 1) // 2, basis.dim // 2
     twice = float(2 * A)
     if twice.is_integer():
-        return (-1.0 if twice % 2 else 1.0), 0.0
-    return math.cos(2.0 * math.pi * A), math.sin(2.0 * math.pi * A)
+        c, off = (-1.0 if twice % 2 else 1.0), None
+    else:
+        c, off = math.cos(2.0 * math.pi * A), -math.sin(2.0 * math.pi * A) * sin[:n_odd, :n_even]
+    return c * even[:n_even, :n_even], c * odd[:n_odd, :n_odd], off
 
 
-def cos_parity_blocks(basis: HoBasis, A: float) -> tuple[np.ndarray, np.ndarray]:
-    """The blocks of cos(theta + 2*pi*A) on the even states m = 0, 2, ... and
-    the odd states m = 1, 3, ... of dim: cos(2 pi A) times those of
-    cos(theta).  When 2A is an integer they are the whole operator."""
-    even, odd, _ = _embedded_blocks(basis.theta0, basis.embed_dim)
-    c, _ = _flux_phase(A)
-    n_even, n_odd = (basis.dim + 1) // 2, basis.dim // 2
-    return c * even[:n_even, :n_even], c * odd[:n_odd, :n_odd]
-
-
-def cos_off_parity_block(basis: HoBasis, A: float) -> np.ndarray:
-    """The block of cos(theta + 2*pi*A) from the even states of dim to the odd
-    ones: -sin(2 pi A) times that of sin(theta).  The block from the odd
-    states to the even ones is its transpose."""
-    n_even, n_odd = (basis.dim + 1) // 2, basis.dim // 2
-    _, s = _flux_phase(A)
-    return -s * _embedded_blocks(basis.theta0, basis.embed_dim)[2][:n_odd, :n_even]
+def from_parity_blocks(even: np.ndarray, odd: np.ndarray, off: np.ndarray | None = None) -> np.ndarray:
+    """The matrix on the number states whose blocks on the even states, the
+    odd states and from the even states to the odd ones are even, odd and off
+    (None: zero), symmetric between the parities."""
+    dim = even.shape[0] + odd.shape[0]
+    h = np.zeros((dim, dim))
+    h[0::2, 0::2], h[1::2, 1::2] = even, odd
+    if off is not None:
+        h[1::2, 0::2] = off
+        h[0::2, 1::2] = off.T
+    return h
 
 
 def cos_in_ho(basis: HoBasis, A: float) -> OperatorMatrix:
-    """cos(theta + 2*pi*A) = cos(2 pi A) cos(theta) - sin(2 pi A) sin(theta),
-    from theta's cached parity blocks in embed_dim states, formed on dim
-    states only.  The entries between the parities are exactly 0 when 2A is
-    an integer.  Read-only."""
-    c = np.zeros((basis.dim, basis.dim))
-    c[0::2, 0::2], c[1::2, 1::2] = cos_parity_blocks(basis, A)
-    if _flux_phase(A)[1]:
-        c[1::2, 0::2] = cos_off_parity_block(basis, A)
-        c[0::2, 1::2] = c[1::2, 0::2].T
+    """cos(theta + 2*pi*A) on dim states, from its parity blocks
+    (:func:`cos_blocks`).  Read-only."""
+    c = from_parity_blocks(*cos_blocks(basis, A))
     c.flags.writeable = False
     return OperatorMatrix(c)

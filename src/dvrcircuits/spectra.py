@@ -18,8 +18,9 @@ from the circuit) is solved as an even and an odd block of half the size; a
 DVR builds them on the half grid as Toeplitz +- Hankel, strided views of the
 summed column, plus the diagonal; the HO basis as the tridiagonal parts of
 its quadratic terms plus the cosine's cached parity blocks
-(:func:`ho.cos_parity_blocks`), and :func:`assemble` builds the full HO
-matrix from the same blocks.  Any other H is solved whole.
+(:func:`ho.cos_blocks`), and :func:`assemble` builds the full HO matrix
+from the same blocks.  Any other H is solved whole.  Every basis, and the
+parity rule, reads the circuit from its term list, ``terms(spec)``.
 A sweep for the ground level alone solves one of the two blocks and proves
 with one shifted Cholesky factorization (:func:`_bounded_below`) that the
 other has nothing lower, solving it only when that proof fails.
@@ -50,14 +51,14 @@ from .dvr import (
     traditional_moment_elements,
     truncated_moment_column,
 )
-from .errors import ConfigError, IncompatibleRepresentationError, NumericalError
+from .errors import ConfigError, IncompatibleRepresentationError, NumericalError, is_integer
 from .fdm import Boundary, FdGrid, fd_hamiltonian
 from .ho import (
     DEFAULT_EMBED_DIM,
     HoBasis,
     LengthScale,
-    cos_off_parity_block,
-    cos_parity_blocks,
+    cos_blocks,
+    from_parity_blocks,
     length_scale,
     quadratic_bands,
 )
@@ -242,15 +243,8 @@ def _ho_basis(spec: CircuitSpec, rep: HoRep, dim: int) -> HoBasis:
 
 
 def _assemble_ho(spec: CircuitSpec, rep: HoRep, dim: int) -> OperatorMatrix:
-    """The parity blocks (:func:`_ho_parity_blocks`) on the even and the odd
-    states, and for a fluxonium whose 2A is not an integer -E_J times the
-    cosine's entries between the parities, which are finite (|entry| <= E_J)."""
-    h = np.zeros((dim, dim))
-    h[0::2, 0::2], h[1::2, 1::2] = _ho_parity_blocks(spec, rep)(dim)
-    if not parity_even(spec):
-        h[1::2, 0::2] = -spec.E_J * cos_off_parity_block(_ho_basis(spec, rep, dim), spec.A)
-        h[0::2, 1::2] = h[1::2, 0::2].T
-    return OperatorMatrix(h)
+    """H(dim) from its parity blocks (:func:`_ho_parity_blocks`)."""
+    return OperatorMatrix(from_parity_blocks(*_ho_parity_blocks(spec, rep)(dim)))
 
 
 def _assemble_fd(spec: CircuitSpec, rep: FdRep, dim: int) -> OperatorMatrix:
@@ -422,14 +416,10 @@ def _block_solver(h: np.ndarray) -> Callable[[int, int, int], np.ndarray]:
 
 def parity_even(spec: CircuitSpec) -> bool:
     """Whether H commutes with the parity theta -> -theta, decided from the
-    circuit's parameters alone: always for the LC circuit, for the fluxonium
-    iff 2A is an integer (cos(theta + 2*pi*A) = +-cos(theta)), for the transmon
-    iff N_g = 0."""
-    if spec.family is Family.LC:
-        return True
-    if spec.family is Family.FLUXONIUM:
-        return float(2 * spec.A).is_integer()
-    return spec.N_g == 0
+    circuit's terms alone: iff no term has a charge offset ((N - N_g)^2 is
+    even only at N_g = 0) and every flux ratio has 2A an integer
+    (cos(theta + 2*pi*A) = +-cos(theta)); theta^2 is always even."""
+    return all(term.offset == 0 and float(2 * term.flux).is_integer() for term in terms(spec))
 
 
 def splits_by_parity(spec: CircuitSpec, rep: Representation) -> bool:
@@ -437,17 +427,18 @@ def splits_by_parity(spec: CircuitSpec, rep: Representation) -> bool:
     circuit in a representation whose H is dense by construction.
 
     Every grid here is centred on 0 and HO states have parity (-1)^m, so the
-    representations keep the symmetry.  A sinc DVR is dense through its
-    conjugate operator, except a charge grid for the transmon (no theta^2:
-    tridiagonal); the HO basis is dense through the fluxonium's cosine and
-    pentadiagonal without it; finite differences are banded.  Banded
-    matrices keep their band solver, which the split measured slower.
+    representations keep the symmetry.  By the circuit's terms, a phase grid
+    is dense through N^2, a charge grid through theta^2 only (a cosine is one
+    band in charge); the HO basis is dense through a cosine and pentadiagonal
+    without it; finite differences are banded.  Banded matrices keep their
+    band solver, which the split measured slower.
     """
     if not parity_even(spec):
         return False
+    kinds = {term.kind for term in terms(spec)}
     if isinstance(rep, DvrRep):
-        return rep.kind.is_phase or spec.family is not Family.TRANSMON
-    return isinstance(rep, HoRep) and spec.family is Family.FLUXONIUM
+        return rep.kind.is_phase or OperatorKind.THETA_SQUARED in kinds
+    return isinstance(rep, HoRep) and OperatorKind.COS_THETA in kinds
 
 
 def _dvr_parity_blocks(spec: CircuitSpec, rep: DvrRep) -> Callable[[int], tuple[np.ndarray, np.ndarray]]:
@@ -487,28 +478,33 @@ def _dvr_parity_blocks(spec: CircuitSpec, rep: DvrRep) -> Callable[[int], tuple[
     return blocks
 
 
-def _ho_parity_blocks(spec: CircuitSpec, rep: HoRep) -> Callable[[int], tuple[np.ndarray, np.ndarray]]:
+def _ho_parity_blocks(spec: CircuitSpec, rep: HoRep) -> Callable[[int], tuple[np.ndarray, ...]]:
     """blocks(dim): the blocks of the HO Hamiltonian H(dim) on the even states
-    m = 0, 2, ... and on the odd states m = 1, 3, ..., from which
-    :func:`assemble` builds H(dim).
+    m = 0, 2, ... and on the odd states m = 1, 3, ..., and from the even
+    states to the odd ones where a cosine's 2A is not an integer: the
+    arguments of :func:`ho.from_parity_blocks`.
 
-    4 E_C N^2 + E_L theta^2 / 2 couples m only to m and m +- 2, so on each
-    parity it is tridiagonal (:func:`ho.quadratic_bands`); a fluxonium adds
-    -E_J times the cosine's block (:func:`ho.cos_parity_blocks`), read from
-    the cached embedding.  Only a parity-even circuit is the two blocks alone.
+    Each of ``terms(spec)`` is added in order.  N^2 and theta^2 couple m only
+    to m and m +- 2, so on each parity they are tridiagonal
+    (:func:`ho.quadratic_bands`); the circuit's one cosine adds its
+    coefficient times its blocks (:func:`ho.cos_blocks`), read from the cached
+    embedding, where |entry| <= |coefficient|.
     """
+    spec_terms = terms(spec)
 
     @np.errstate(over="ignore", invalid="ignore")
-    def blocks(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    def blocks(dim: int) -> tuple[np.ndarray, ...]:
         basis = _ho_basis(spec, rep, dim)
-        (theta2, theta2_band), (n2, n2_band) = quadratic_bands(basis)
-        diag = 4.0 * spec.E_C * n2 + 0.5 * spec.E_L * theta2
-        band = 4.0 * spec.E_C * n2_band + 0.5 * spec.E_L * theta2_band
-        if spec.family is Family.FLUXONIUM:
-            parts = [-spec.E_J * c for c in cos_parity_blocks(basis, spec.A)]
-        else:
-            parts = [np.zeros(((dim + 1) // 2,) * 2), np.zeros((dim // 2,) * 2)]
-        for parity, h in enumerate(parts):
+        theta2, n2 = quadratic_bands(basis)
+        diag = band = 0.0
+        parts = [np.zeros(((dim + 1) // 2,) * 2), np.zeros((dim // 2,) * 2)]
+        for term in spec_terms:
+            if term.kind is OperatorKind.COS_THETA:
+                parts = [term.coefficient * c for c in cos_blocks(basis, term.flux) if c is not None]
+            else:
+                d, b = n2 if term.kind is OperatorKind.N_SQUARED else theta2
+                diag, band = diag + term.coefficient * d, band + term.coefficient * b
+        for parity, h in enumerate(parts[:2]):
             n = h.shape[0]
             flat = h.reshape(-1)  # (k, k + 1) of the block is (m, m + 2) of H
             flat[:: n + 1] += diag[parity::2]
@@ -516,7 +512,7 @@ def _ho_parity_blocks(spec: CircuitSpec, rep: HoRep) -> Callable[[int], tuple[np
             flat[n :: n + 1] += band[parity::2]
             if not np.isfinite(h).all():
                 raise ConfigError(f"the HO Hamiltonian at theta0 = {basis.theta0!r} is not finite")
-        return parts[0], parts[1]
+        return tuple(parts)
 
     return blocks
 
@@ -741,8 +737,8 @@ def reference_energy(spec: CircuitSpec, level: int) -> float:
     levels of a 401-state charge basis, standing in for the exact Mathieu
     characteristic values.  ConfigError for a level the oracle does not hold.
     """
-    if level < 0:
-        raise ConfigError(f"level must be >= 0, got {level}")
+    if not is_integer(level) or level < 0:
+        raise ConfigError(f"level must be an integer >= 0, got {level!r}")
     if spec.family is Family.LC:
         return math.sqrt(8.0 * spec.E_C * spec.E_L) * (level + 0.5)
     energies = _oracle(spec)

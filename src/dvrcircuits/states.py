@@ -19,11 +19,11 @@ parity blocks of a parity-even circuit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuits import CircuitSpec, Family
+from .circuits import CircuitSpec, Family, OperatorKind, terms
 from .dvr import DvrBasis, OperatorMatrix, grid_points
 from .errors import ConfigError
 from .spectra import DvrRep, Spectrum, assemble, concrete_dvr_basis, lowest_states
@@ -63,8 +63,8 @@ def apply_shift(c: np.ndarray, basis: DvrBasis, shift: ShiftSpec) -> tuple[np.nd
     """
     if not basis.kind.is_phase:
         raise ConfigError("phase shifts require a phase-kind DVR")
-    if c.shape[0] != basis.dim:
-        raise ConfigError("state dimension does not match the basis")
+    if c.shape != (basis.dim,):
+        raise ConfigError(f"a state is a 1-D array of {basis.dim} coefficients, got shape {c.shape}")
     k = shift.beta * shift.direction
     if basis.kind.is_truncated:
         shifted = np.roll(c, -k)
@@ -81,8 +81,8 @@ def apply_shift(c: np.ndarray, basis: DvrBasis, shift: ShiftSpec) -> tuple[np.nd
 
 def expectation(op: OperatorMatrix, c: np.ndarray) -> float:
     """Real expectation value <c| op |c>."""
-    if op.dim != c.shape[0]:
-        raise ConfigError(f"dimension mismatch: operator {op.dim}, state {c.shape[0]}")
+    if c.shape != (op.dim,):
+        raise ConfigError(f"a state is a 1-D array of {op.dim} coefficients, got shape {c.shape}")
     value = complex(np.vdot(c, op.entries @ c))
     scale = max(abs(value), 1.0)
     if abs(value.imag) > 1e-12 * scale:
@@ -112,9 +112,10 @@ def flux_sweep(
     the reference configuration), shifted once per beta, and held fixed while
     the flux-dependent operators sweep A; rows are (A, phi, <H(A)>,
     <sin(theta + 2*pi*A)>).  The flux is one grid diagonal, so every row needs
-    H only at the circuit's own A_0: with grid populations p = |c|^2, <H(A)>
-    is the flux-independent rest <H(A_0)> + E_J p.cos(theta + 2*pi*A_0) minus
-    E_J p.cos(theta + 2*pi*A), and the current is p.sin(theta + 2*pi*A).
+    H only at the circuit's own A_0: with grid populations p = |c|^2 and the
+    circuit's cosine term g cos(theta + 2*pi*A) (g = -E_J), <H(A)> is the
+    flux-independent rest <H(A_0)> - g p.cos(theta + 2*pi*A_0) plus
+    g p.cos(theta + 2*pi*A), and the current is p.sin(theta + 2*pi*A).
     With ``rediagonalize`` the state is re-prepared as the ground state at
     each swept A instead; only that solve depends on A.
     """
@@ -132,10 +133,7 @@ def flux_sweep(
         raise ConfigError(f"flux values must be a 1-D array of finite numbers, got {a_values!r}")
     a_values = a_values.astype(float)
     h = assemble(spec, rep, dim)  # at the circuit's own A, on either path
-    if rediagonalize:
-        specs = [CircuitSpec.fluxonium(spec.E_C, spec.E_L, spec.E_J, a) for a in a_values.tolist()]
-    else:
-        specs = [spec]
+    specs = [replace(spec, A=a) for a in a_values.tolist()] if rediagonalize else [spec]
     shifts = [ShiftSpec(beta, direction) for beta in betas]
     grounds = [lowest_states(s, rep, dim, 1).eigvectors[:, 0] for s in specs]
     # one row per prepared ground state, one column per beta
@@ -143,12 +141,13 @@ def flux_sweep(
     shape = (len(grounds), len(shifts))
     p = np.abs(np.reshape(states, (*shape, dim))) ** 2
     theta = grid_points(basis)
+    (cosine,) = [term for term in terms(spec) if term.kind is OperatorKind.COS_THETA]
     # the same grid values _dvr_terms puts on the diagonal of H
-    cos_own = np.cos(theta + 2.0 * np.pi * spec.A)
+    cos_own = np.cos(theta + 2.0 * np.pi * cosine.flux)
     rest = np.reshape([[expectation(h, state) for state in row] for row in states], shape)
-    rest = rest + spec.E_J * _grid_dot(p, cos_own)
+    rest = rest - cosine.coefficient * _grid_dot(p, cos_own)
     arg = theta + 2.0 * np.pi * a_values[:, None, None]
-    energies = rest - spec.E_J * _grid_dot(p, np.cos(arg))
+    energies = rest + cosine.coefficient * _grid_dot(p, np.cos(arg))
     currents = _grid_dot(p, np.sin(arg))
     a_column = np.repeat(a_values, len(shifts)).tolist()
     phis = [shift.phi(basis) for shift in shifts] * a_values.size

@@ -107,17 +107,17 @@ def _dvr_term_operator(basis: DvrBasis, term: HamiltonianTerm) -> OperatorMatrix
         if kind is OperatorKind.COS_THETA:
             shift = 2.0 * np.pi * term.flux
             return diag_of_discretized(basis, lambda th: np.cos(th + shift))
-        if kind is OperatorKind.N_SQUARED:
-            if basis.kind.is_truncated:
-                return conj_moment_truncated(basis, 2)
+        if kind is OperatorKind.N_SQUARED and basis.kind.is_truncated:
+            if term.offset:  # (N - N_g)^2: the shifted column
+                return OperatorMatrix(scipy.linalg.circulant(truncated_moment_column(basis, 2, term.offset)))
+            return conj_moment_truncated(basis, 2)
+        if kind is OperatorKind.N_SQUARED and not term.offset:
             return conj_moment_traditional(basis, 2)
-        if kind is OperatorKind.N_SHIFTED_SQUARED and basis.kind.is_truncated:
-            return OperatorMatrix(scipy.linalg.circulant(truncated_moment_column(basis, 2, term.offset)))
     else:
+        if kind is OperatorKind.N_SQUARED and term.offset:
+            return diag_of_discretized(basis, lambda n: (n - term.offset) ** 2)
         if kind is OperatorKind.N_SQUARED:
             return diag_of_discretized(basis, np.square)
-        if kind is OperatorKind.N_SHIFTED_SQUARED:
-            return diag_of_discretized(basis, lambda n: (n - term.offset) ** 2)
         if kind is OperatorKind.THETA_SQUARED:
             if basis.kind.is_truncated:
                 return conj_moment_truncated(basis, 2)

@@ -56,7 +56,7 @@ def test_fluxonium_terms_carry_flux():
 
 def test_transmon_terms_carry_offset_charge():
     got = terms(CircuitSpec.transmon(0.2, 10.0, 0.5))
-    assert got[0] == HamiltonianTerm(0.8, OperatorKind.N_SHIFTED_SQUARED, offset=0.5)
+    assert got[0] == HamiltonianTerm(0.8, OperatorKind.N_SQUARED, offset=0.5)
     assert got[1].coefficient == -10.0 and got[1].flux == 0.0
 
 

@@ -457,6 +457,15 @@ def test_plot_script_labels_the_scale_of_the_curves(tmp_path, scale, label):
     assert f"set ylabel '{label}'" in (out / "plot.gp").read_text().splitlines()
 
 
+@pytest.mark.parametrize("command", ["metrics", "levels", "decompose", "shift"])
+def test_plot_script_is_for_curves_only(tmp_path, command, capsys):
+    # these commands took the flag, wrote no plot.gp and exited 0
+    out = tmp_path / "out"
+    assert main([command, "--preset", "fluxonium", "--out", str(out), "--emit-plot-script"]) == 2
+    assert "--emit-plot-script" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["curve", "--preset", "lc", "--emit-plot"], ["curve", "--pres", "lc"]])
 def test_parser_rejects_a_truncated_flag(argv, capsys):
     # argparse would otherwise read a prefix of a flag as the whole flag

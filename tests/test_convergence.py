@@ -362,6 +362,36 @@ def test_level_metrics_raises_what_metrics_raises():
         level_metrics(LC, rep, (41, 31, 21, 11, 9, 7), (0,))
 
 
+@pytest.mark.parametrize(
+    "sizes, levels",
+    [
+        ((3.0, 5.0, 7.0), (0,)),
+        ((3, 5, 7.0), (0,)),
+        ((3, True, 7), (0,)),
+        (default_sizes(21), (0.5,)),
+        (default_sizes(21), (1.0,)),
+        (default_sizes(21), (True,)),
+        (default_sizes(21), (np.float64(0.0),)),
+    ],
+)
+def test_sizes_and_levels_must_be_integers(monkeypatch, sizes, levels):
+    solved = _counting_size_solver(monkeypatch)
+    rep = DvrRep(DvrKind.TRADITIONAL_CHARGE, Spacing(1, 4))
+    for run in (sweep_levels, level_metrics):
+        with pytest.raises(ConfigError, match="integers"):
+            run(LC, rep, sizes, levels)
+    assert solved == []
+
+
+def test_numpy_integer_sizes_and_levels_are_accepted():
+    rep = DvrRep(DvrKind.TRADITIONAL_CHARGE, Spacing(1, 4))
+    sizes = tuple(np.arange(3, 22, 2))
+    want = sweep_levels(LC, rep, default_sizes(21), (0, 1))
+    got = sweep_levels(LC, rep, sizes, (np.int64(0), np.int32(1)))
+    assert all(np.array_equal(g.deltas, w.deltas) for g, w in zip(got, want))
+    assert level_metrics(LC, rep, sizes, (np.int64(0),))[0].record == metrics(want[0])
+
+
 def test_unsorted_sizes_fail_before_solving(monkeypatch):
     solved = _counting_size_solver(monkeypatch)
     rep = DvrRep(DvrKind.TRUNCATED_PHASE, Spacing(1, 4, pi=True))

@@ -157,6 +157,18 @@ def test_cos_at_half_integer_2A_has_exactly_zero_off_parity_entries(scale):
         assert np.array_equal(c, sign * at_zero)
 
 
+@pytest.mark.parametrize("A", [0.0, 0.5, -1.5, 0.3, 0.37, 1.25, -0.1])
+def test_cos_blocks_are_the_parity_slices_of_the_cosine(A):
+    # the block between the parities is None exactly where 2A is an integer
+    basis = HoBasis(2.5, 21, 1001)
+    even, odd, off = ho.cos_blocks(basis, A)
+    assert (off is None) == float(2 * A).is_integer()
+    c = cos_in_ho(basis, A).entries
+    assert np.array_equal(even, c[0::2, 0::2]) and np.array_equal(odd, c[1::2, 1::2])
+    assert np.array_equal(c[1::2, 0::2], np.zeros((10, 11)) if off is None else off)
+    assert np.array_equal(c, ho.from_parity_blocks(even, odd, off))
+
+
 @pytest.mark.parametrize("scale", list(LengthScale))
 def test_cos_matches_the_full_embedding(scale):
     # both routes are within 64 eps of the closed forms (the bound of

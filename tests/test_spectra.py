@@ -344,8 +344,13 @@ def test_ho_parity_blocks_are_the_parity_slices_of_the_assembled_matrix(spec):
         rep = HoRep(scale, 121)
         for d in (1, 2, 21, 121):
             h = ho_hamiltonian_dense(spec, rep, d)
-            even, odd = _ho_parity_blocks(spec, rep)(d)
+            blocks = _ho_parity_blocks(spec, rep)(d)
+            # off half-integer flux the cosine adds the block from the even states to the odd ones
+            assert len(blocks) == (2 if parity_even(spec) else 3)
+            even, odd = blocks[:2]
             assert np.array_equal(even, h[0::2, 0::2]) and np.array_equal(odd, h[1::2, 1::2])
+            if not parity_even(spec):
+                assert np.array_equal(blocks[2], assemble(spec, rep, d).entries[1::2, 0::2])
 
 
 def test_ho_assembly_equals_the_dense_sum_of_its_terms():
@@ -671,6 +676,19 @@ def test_reference_energy_rejects_a_level_the_oracle_does_not_hold(spec, held):
     assert math.isfinite(reference_energy(spec, held - 1))
     with pytest.raises(ConfigError, match=f"holds {held} levels"):
         reference_energy(spec, held)
+
+
+@pytest.mark.parametrize("spec", [LC, FLUXONIUM, TRANSMON], ids=lambda spec: spec.family.value)
+@pytest.mark.parametrize("level", [0.5, 1.0, True, np.float64(0.0), -1, "0"])
+def test_reference_energy_rejects_a_level_that_is_not_a_nonnegative_integer(spec, level):
+    # a float level gave the LC a closed form between two levels and the fluxonium an IndexError
+    with pytest.raises(ConfigError, match="integer >= 0"):
+        reference_energy(spec, level)
+
+
+def test_reference_energy_takes_a_numpy_integer_level():
+    for spec in (LC, FLUXONIUM, TRANSMON):
+        assert reference_energy(spec, np.int64(2)) == reference_energy(spec, 2)
 
 
 def test_transmon_spectrum_offset_charge_symmetries():

@@ -172,6 +172,20 @@ def test_expectation_dimension_mismatch():
         expectation(h, state)
 
 
+@pytest.mark.parametrize("shape", [(11, 2), (11, 1), (1, 11), (), (2, 11, 1)])
+def test_a_state_must_be_a_1d_array(shape):
+    # the two lowest states as one (11, 2) array are not a state: expectation
+    # summed both energies and apply_shift rolled the flattened array
+    basis = _basis(TRUNC_REP, 11)
+    h = assemble(FLUXONIUM, TRUNC_REP, 11)
+    vectors = lowest_states(FLUXONIUM, TRUNC_REP, 11, 2).eigvectors
+    c = vectors if shape == (11, 2) else np.resize(vectors[:, 0], shape)
+    with pytest.raises(ConfigError, match="1-D"):
+        expectation(h, c)
+    with pytest.raises(ConfigError, match="1-D"):
+        apply_shift(c, basis, ShiftSpec(1))
+
+
 # ---------------------------------------------------------------------------
 # flux sweeps
 
